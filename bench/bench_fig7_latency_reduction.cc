@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 
 #include "bench/benchcommon.h"
 #include "common/logging.h"
@@ -181,13 +180,6 @@ main()
                fmtDouble(cold.wallSeconds, 3), " s; warm rerun ",
                fmtDouble(100.0 * warm.hitRate(), 1), "% hit rate, ",
                warm.synthRuns, " fresh syntheses");
-        std::printf("BENCH_fig7_service_unique_blocks=%d\n",
-                    cold.uniqueBlocks);
-        std::printf("BENCH_fig7_service_dedup_ratio=%.3f\n",
-                    static_cast<double>(cold.totalBlocks) /
-                        std::max(1, cold.uniqueBlocks));
-        std::printf("BENCH_fig7_service_warm_hit_rate=%.4f\n",
-                    warm.hitRate());
     }
 
     // Quantized parametric serving on the BeH2 iteration stream: the
@@ -247,10 +239,6 @@ main()
                " us/iteration vs ",
                fmtDouble(1e6 * exact_seconds / kIterations, 1),
                " us exact");
-        std::printf("BENCH_fig7_quant_hit_rate=%.4f\n", hit_rate);
-        std::printf("BENCH_fig7_quant_iter_speedup=%.3f\n",
-                    quant_seconds > 0.0 ? exact_seconds / quant_seconds
-                                        : 0.0);
     }
     return 0;
 }

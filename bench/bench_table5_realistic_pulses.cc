@@ -123,8 +123,8 @@ main(int argc, char** argv)
             options.upperBoundNs = std::max(gate_ns, 60.0);
             if (realistic) {
                 // The leaky-qutrit landscape is far harder; accept a
-                // slightly relaxed target within a bounded budget
-                // (documented in EXPERIMENTS.md).
+                // slightly relaxed target (0.98, or 0.97 from width 3)
+                // within a bounded budget.
                 options.grape.dt = 1.0;
                 options.grape.maxIterations =
                     2 * options.grape.maxIterations;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 
 #include "common/logging.h"
 #include "model/timemodel.h"
@@ -102,25 +101,6 @@ grapeBlockSynthesizer(GrapeOptions options)
         const GrapeResult result =
             runGrapeFixedTime(device, target, time_ns, options);
         return result.pulse;
-    };
-}
-
-BlockSynthesizer
-modeledLatencySynthesizer(double time_scale, double dt,
-                          LatencyModelParams params)
-{
-    fatalIf(time_scale < 0.0, "time scale must be non-negative");
-    auto latency = std::make_shared<GrapeLatencyModel>(params);
-    auto time_model = std::make_shared<PulseTimeModel>();
-    return [time_scale, dt, latency, time_model](const Circuit& block) {
-        const double pulse_ns = time_model->blockTimeNs(block);
-        const double seconds =
-            time_scale *
-            latency->fullGrapeSeconds(block.numQubits(), pulse_ns);
-        if (seconds > 0.0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(seconds));
-        return analyticPulse(block, dt);
     };
 }
 

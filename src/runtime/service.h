@@ -20,8 +20,7 @@
  *    pool.
  *
  * The actual pulse synthesis is pluggable (BlockSynthesizer): real
- * GRAPE for production, the analytic library for fast exact pulses,
- * or a latency-model-paced stand-in for scheduling benchmarks.
+ * GRAPE for production, or the analytic library for fast exact pulses.
  */
 
 #ifndef QPC_RUNTIME_SERVICE_H
@@ -44,7 +43,6 @@
 #include "grape/grape.h"
 #include "ir/circuit.h"
 #include "model/calibration.h"
-#include "model/latencymodel.h"
 #include "partial/strict.h"
 #include "pulse/device.h"
 #include "pulse/library.h"
@@ -62,16 +60,6 @@ BlockSynthesizer analyticBlockSynthesizer(double dt = 0.05);
 
 /** Real GRAPE against the block unitary on a clique device. */
 BlockSynthesizer grapeBlockSynthesizer(GrapeOptions options = {});
-
-/**
- * Analytic pulses paced by the calibrated GRAPE latency model: sleeps
- * time_scale x fullGrapeSeconds(block) before returning, so service
- * scheduling and worker scaling can be benchmarked at a realistic
- * latency *shape* without the paper's CPU-core-hours.
- */
-BlockSynthesizer modeledLatencySynthesizer(double time_scale,
-                                           double dt = 0.05,
-                                           LatencyModelParams params = {});
 
 /** What happens to a fresh synthesis when the worker queue is full. */
 enum class QueueFullPolicy
