@@ -367,6 +367,15 @@ benchSubstrate()
     const CMatrix b = haarUnitary(16, rng);
     const DeviceModel device2q = DeviceModel::gmonLine(2);
     const CMatrix target = gateMatrix(GateKind::CX);
+    // A Weyl-sized (4x4) real symmetric matrix and a width-3 GRAPE
+    // block's slice Hamiltonian (8x8) price the eigensolver per size.
+    CMatrix sym4(4, 4);
+    for (int i = 0; i < 4; ++i)
+        for (int j = 0; j <= i; ++j)
+            sym4(i, j) = sym4(j, i) = rng.uniform(-1.0, 1.0);
+    const DeviceModel clique3 = DeviceModel::gmonClique(3);
+    const CMatrix h8 = sliceHamiltonian(
+        clique3, std::vector<double>(clique3.numControls(), 0.1));
 
     const struct
     {
@@ -380,6 +389,14 @@ benchSubstrate()
         {"propagator16", nsPerOp([&] {
              CMatrix u = slicePropagator(h, 0.05);
              clobber(u.data());
+         })},
+        {"eig4", nsPerOp([&] {
+             EigResult eig = eigHermitian(sym4);
+             clobber(eig.values.data());
+         })},
+        {"eig8", nsPerOp([&] {
+             EigResult eig = eigHermitian(h8);
+             clobber(eig.values.data());
          })},
         {"eig16", nsPerOp([&] {
              EigResult eig = eigHermitian(h);

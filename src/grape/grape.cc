@@ -104,13 +104,14 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
         eigs.resize(n_steps);
     partials[0] = CMatrix::identity(d);
     std::vector<double> amps(n_ctrl);
+    // One step's e^{-i dt lambda_i}, reused by every step of both passes.
+    std::vector<Complex> phases(d);
     for (int k = 0; k < n_steps; ++k) {
         for (int c = 0; c < n_ctrl; ++c)
             amps[c] = u[c][k];
         const CMatrix h = sliceHamiltonian(ws.device, amps);
         if (grad) {
             eigs[k] = eigHermitian(h);
-            std::vector<Complex> phases(d);
             for (int i = 0; i < d; ++i)
                 phases[i] = std::polar(1.0, -dt * eigs[k].values[i]);
             props[k] = kernels::scaledDaggerSandwich(eigs[k].vectors,
@@ -164,28 +165,25 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
     const Complex o_conj = std::conj(overlap);
     for (int k = n_steps - 1; k >= 0; --k) {
         const CMatrix& v = eigs[k].vectors;
+        const CMatrix vd = v.dagger();
         const std::vector<double>& lam = eigs[k].values;
-        const CMatrix mt = v.dagger() * (partials[k] * b) * v;
+        const CMatrix mt = vd * (partials[k] * b) * v;
+        for (int i = 0; i < d; ++i)
+            phases[i] = std::polar(1.0, -dt * lam[i]);
 
         // N = Phi^T o Mt, then S = V N V^dag.
         CMatrix nmat(d, d);
         for (int j = 0; j < d; ++j) {
             for (int i = 0; i < d; ++i) {
                 const double dl = lam[i] - lam[j];
-                Complex phi;
-                if (std::abs(dl) < 1e-9) {
-                    phi = Complex{0.0, -dt} *
-                          std::polar(1.0, -dt * lam[i]);
-                } else {
-                    phi = (std::polar(1.0, -dt * lam[i]) -
-                           std::polar(1.0, -dt * lam[j])) /
-                          Complex{dl, 0.0};
-                }
+                const Complex phi = std::abs(dl) < 1e-9
+                                        ? Complex{0.0, -dt} * phases[i]
+                                        : (phases[i] - phases[j]) / dl;
                 // N_ji = Phi_ij * Mt_ji.
                 nmat(j, i) = phi * mt(j, i);
             }
         }
-        const CMatrix s = v * nmat * v.dagger();
+        const CMatrix s = v * nmat * vd;
         // tr(H_c S) = sum_ij H_c(i,j) S(j,i); transposing S once lets
         // every control's trace run as a contiguous dot product.
         const CMatrix st = s.transpose();

@@ -15,10 +15,17 @@ sliceHamiltonian(const DeviceModel& device,
             "expected ", device.numControls(), " amplitudes, got ",
             amplitudes.size());
     CMatrix h = device.drift();
+    Complex* out = h.data();
+    const size_t size =
+        static_cast<size_t>(h.rows()) * static_cast<size_t>(h.cols());
     for (int c = 0; c < device.numControls(); ++c) {
-        if (amplitudes[c] == 0.0)
+        const double amp = amplitudes[c];
+        if (amp == 0.0)
             continue;
-        h += device.controls()[c].op * Complex{amplitudes[c], 0.0};
+        // Accumulate in place: no temporary matrix per control.
+        const Complex* op = device.controls()[c].op.data();
+        for (size_t i = 0; i < size; ++i)
+            out[i] += op[i] * amp;
     }
     return h;
 }

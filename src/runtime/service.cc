@@ -94,10 +94,15 @@ BlockSynthesizer
 grapeBlockSynthesizer(GrapeOptions options)
 {
     return [options](const Circuit& block) {
+        const double time_ns = PulseTimeModel().blockTimeNs(block);
+        // The time model prices identity-like blocks (the Rz(0) grid
+        // bin) at 0 ns, which GRAPE cannot run; the library's pulse
+        // for them is exact.
+        if (time_ns <= 0.0)
+            return analyticPulse(block, options.dt);
         const DeviceModel device =
             DeviceModel::gmonClique(std::max(1, block.numQubits()));
         const CMatrix target = circuitUnitary(block);
-        const double time_ns = PulseTimeModel().blockTimeNs(block);
         const GrapeResult result =
             runGrapeFixedTime(device, target, time_ns, options);
         return result.pulse;

@@ -58,7 +58,9 @@ using BlockSynthesizer = std::function<PulseSchedule(const Circuit&)>;
 /** Exact analytic pulses from the gate library (fast, deterministic). */
 BlockSynthesizer analyticBlockSynthesizer(double dt = 0.05);
 
-/** Real GRAPE against the block unitary on a clique device. */
+/** Real GRAPE against the block unitary on a clique device. A block the
+ * time model prices at 0 ns (an identity, such as the Rz(0) grid bin)
+ * gets the exact analytic library pulse instead. */
 BlockSynthesizer grapeBlockSynthesizer(GrapeOptions options = {});
 
 /** What happens to a fresh synthesis when the worker queue is full. */

@@ -4,6 +4,7 @@
 
 #include "grape/grape.h"
 #include "grape/mintime.h"
+#include "linalg/random_unitary.h"
 #include "linalg/su2.h"
 #include "pulse/evolve.h"
 #include "pulse/library.h"
@@ -45,6 +46,35 @@ TEST(GrapeSmoke, FindsHadamardPulse)
     // Re-simulate the pulse independently and confirm the fidelity.
     const CMatrix realized = evolveUnitary(device, run.pulse);
     EXPECT_GT(traceFidelity(hMatrix(), realized), 0.999);
+}
+
+TEST(GrapeSmoke, WidthThreeTrajectoryIsPinned)
+{
+    // The only tier-1 GRAPE run on a width-3 block (d = 8): its
+    // fidelity history must not drift with the eigensolver, the
+    // Daleckii-Krein gradient or the compiler's rounding.
+    const DeviceModel device = DeviceModel::gmonClique(3);
+    Rng rng(42);
+    const CMatrix target = haarUnitary(8, rng);
+    GrapeOptions options;
+    options.dt = 0.1;
+    options.maxIterations = 20;
+    const GrapeResult run =
+        runGrapeFixedTime(device, target, 8.0, options);
+    ASSERT_EQ(run.history.size(), 21u);
+
+    const struct
+    {
+        int iteration;
+        double fidelity;
+    } pins[] = {{0, 0.033526258776},
+                {5, 0.025147682409},
+                {10, 0.045820705299},
+                {15, 0.163871436093},
+                {20, 0.286929517216}};
+    for (const auto& pin : pins)
+        EXPECT_NEAR(run.history[pin.iteration], pin.fidelity, 1e-8)
+            << "iteration " << pin.iteration;
 }
 
 TEST(GrapeSmoke, PulseLibraryHadamardIsExact)

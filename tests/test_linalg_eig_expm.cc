@@ -31,7 +31,29 @@ TEST(Eig, PauliXEigenvectors)
     EXPECT_TRUE(rebuilt.approxEqual(pauliX(), 1e-10));
 }
 
-/** Random Hermitian reconstruction across dimensions. */
+/**
+ * The decomposition contract: A = V diag V^dag within 1e-10 ||A||, V
+ * unitary, eigenvalues ascending.
+ */
+void
+expectValidEig(const CMatrix& a, const EigResult& eig)
+{
+    const int n = a.rows();
+    ASSERT_EQ(static_cast<int>(eig.values.size()), n);
+    ASSERT_EQ(eig.vectors.rows(), n);
+    ASSERT_EQ(eig.vectors.cols(), n);
+    EXPECT_TRUE(eig.vectors.isUnitary(1e-10));
+    for (int i = 1; i < n; ++i)
+        EXPECT_LE(eig.values[i - 1], eig.values[i]);
+    CMatrix d(n, n);
+    for (int i = 0; i < n; ++i)
+        d(i, i) = eig.values[i];
+    const CMatrix rebuilt = eig.vectors * d * eig.vectors.dagger();
+    EXPECT_LE(rebuilt.maxAbsDiff(a), 1e-10 * a.frobeniusNorm());
+}
+
+/** Random Hermitian reconstruction across dimensions, up to the
+ * qutrit (27) and BeH2 Hamiltonian (64) sizes. */
 class EigSweep : public ::testing::TestWithParam<int>
 {
 };
@@ -42,24 +64,80 @@ TEST_P(EigSweep, ReconstructsRandomHermitian)
     Rng rng(100 + dim);
     for (int trial = 0; trial < 5; ++trial) {
         const CMatrix u = haarUnitary(dim, rng);
-        CMatrix h = u + u.dagger();   // Hermitian
-        const EigResult eig = eigHermitian(h);
-
-        EXPECT_TRUE(eig.vectors.isUnitary(1e-8));
-        for (size_t i = 1; i < eig.values.size(); ++i)
-            EXPECT_LE(eig.values[i - 1], eig.values[i] + 1e-12);
-
-        CMatrix d(dim, dim);
-        for (int i = 0; i < dim; ++i)
-            d(i, i) = eig.values[i];
-        const CMatrix rebuilt =
-            eig.vectors * d * eig.vectors.dagger();
-        EXPECT_LT(rebuilt.maxAbsDiff(h), 1e-8);
+        const CMatrix h = u + u.dagger();   // Hermitian
+        expectValidEig(h, eigHermitian(h));
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Dims, EigSweep,
-                         ::testing::Values(2, 3, 4, 8, 16));
+                         ::testing::Values(2, 3, 4, 8, 16, 27, 64));
+
+TEST(Eig, IdentityAndZero)
+{
+    const CMatrix id = CMatrix::identity(5);
+    const EigResult one = eigHermitian(id);
+    expectValidEig(id, one);
+    for (double v : one.values)
+        EXPECT_DOUBLE_EQ(v, 1.0);
+
+    const CMatrix zero = CMatrix::zeros(5, 5);
+    const EigResult none = eigHermitian(zero);
+    expectValidEig(zero, none);
+    for (double v : none.values)
+        EXPECT_EQ(v, 0.0);
+}
+
+TEST(Eig, OneByOne)
+{
+    const CMatrix a(1, 1, {Complex{-2.5, 0.0}});
+    const EigResult eig = eigHermitian(a);
+    expectValidEig(a, eig);
+    EXPECT_EQ(eig.values[0], -2.5);
+    EXPECT_NEAR(std::abs(eig.vectors(0, 0)), 1.0, 1e-15);
+}
+
+TEST(Eig, DiagonalWithRepeatedEigenvalues)
+{
+    // Z (x) I (x) I: already diagonal, each eigenvalue four-fold.
+    const CMatrix a = kronAll({pauliZ(), pauliI(), pauliI()});
+    const EigResult eig = eigHermitian(a);
+    expectValidEig(a, eig);
+    for (int i = 0; i < 8; ++i)
+        EXPECT_EQ(eig.values[i], i < 4 ? -1.0 : 1.0);
+}
+
+TEST(Eig, AlreadyTridiagonal)
+{
+    Rng rng(15);
+    const int n = 7;
+    CMatrix a(n, n);
+    for (int i = 0; i < n; ++i) {
+        a(i, i) = rng.uniform(-1.0, 1.0);
+        if (i + 1 < n) {
+            a(i + 1, i) = Complex{rng.uniform(-1.0, 1.0),
+                                  rng.uniform(-1.0, 1.0)};
+            a(i, i + 1) = std::conj(a(i + 1, i));
+        }
+    }
+    expectValidEig(a, eigHermitian(a));
+}
+
+TEST(Eig, RealSymmetricGivesRealEigenvectors)
+{
+    Rng rng(16);
+    for (int n : {4, 7, 16}) {
+        CMatrix a(n, n);
+        for (int i = 0; i < n; ++i)
+            for (int j = 0; j <= i; ++j)
+                a(i, j) = a(j, i) = rng.uniform(-1.0, 1.0);
+        const EigResult eig = eigHermitian(a);
+        expectValidEig(a, eig);
+        for (int r = 0; r < n; ++r)
+            for (int c = 0; c < n; ++c)
+                EXPECT_LE(std::abs(eig.vectors(r, c).imag()), 1e-12)
+                    << "n " << n;
+    }
+}
 
 TEST(Eig, DegenerateSpectrum)
 {

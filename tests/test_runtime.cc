@@ -8,6 +8,7 @@
 #include <unistd.h>
 #include <vector>
 
+#include "model/timemodel.h"
 #include "partial/compiler.h"
 #include "partial/strict.h"
 #include "pulse/evolve.h"
@@ -268,6 +269,21 @@ TEST(Service, CompileBlockMatchesSynthesizer)
         traceFidelity(circuitUnitary(block),
                       evolveUnitary(device, pulse));
     EXPECT_GT(fidelity, 0.999);
+}
+
+TEST(Service, GrapeSynthesizerServesZeroDurationBlock)
+{
+    // The time model prices Rz(0) at 0 ns; GRAPE needs a positive
+    // duration, so the synthesizer must hand it to the library.
+    Circuit block(1);
+    block.rz(0, 0.0);
+    ASSERT_LE(PulseTimeModel().blockTimeNs(block), 0.0);
+
+    const PulseSchedule pulse = grapeBlockSynthesizer()(block);
+    const DeviceModel device = DeviceModel::gmonClique(1);
+    EXPECT_TRUE(testutil::sameUpToPhase(CMatrix::identity(2),
+                                        evolveUnitary(device, pulse),
+                                        1e-9));
 }
 
 TEST(Service, SecondRequestHitsCache)
