@@ -4,9 +4,10 @@
  *
  *  1. The SoA kernels layer (src/linalg/kernels.h): every dispatching
  *     kernel timed against its bit-compatible `...Scalar` reference.
- *     On a QPC_NATIVE=ON build the dispatch side runs the AVX2 paths
- *     and the speedup keys report the vector gain; on a scalar build
- *     both sides run the same code and the speedups sit at ~1.0.
+ *     On a host whose CPU supports AVX2 the dispatch side runs the
+ *     AVX2 paths (in any build) and the speedup keys report the
+ *     vector gain; elsewhere both sides run the same code and the
+ *     speedups sit at ~1.0. BENCH_micro_backend names the choice.
  *
  *  2. The composite substrate costs the latency model abstracts
  *     (matrix multiply, propagator, eigensolve, a full GRAPE gradient

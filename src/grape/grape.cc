@@ -14,9 +14,23 @@ namespace qpc {
 
 namespace {
 
+/** m = I (m presized square). */
+void
+setIdentity(kernels::SoaMatrix& m)
+{
+    const int n = m.rows();
+    std::fill(m.re(), m.re() + n * n, 0.0);
+    std::fill(m.im(), m.im() + n * n, 0.0);
+    for (int i = 0; i < n; ++i)
+        m.re()[i * n + i] = 1.0;
+}
+
 /**
- * Shared state for one cost/gradient evaluation over the flat
- * parameter vector x, laid out as x[c * nSteps + k].
+ * Shared state for one GRAPE run's cost/gradient evaluations over the
+ * flat parameter vector x, laid out as x[c * nSteps + k]. Every
+ * per-evaluation buffer is sized here, once per run, and reused by
+ * each evaluation; the d x d ones are planar so the products run
+ * straight through the SoA kernels without a pack per multiply.
  */
 struct GrapeWorkspace
 {
@@ -27,13 +41,23 @@ struct GrapeWorkspace
     double dt;
     const GrapeOptions& options;
     std::vector<double> envelope;   ///< Gaussian window g_k.
+    kernels::SoaMatrix planarTarget;  ///< E, planar.
+    std::vector<kernels::SoaMatrix> planarControls;  ///< H_c, planar.
+
+    std::vector<double> u;          ///< Amplitudes, u[c * nSteps + k].
+    std::vector<double> amps;       ///< One step's amplitudes.
+    std::vector<Complex> phases;    ///< One step's e^{-i dt lambda_i}.
+    std::vector<EigResult> eigs;    ///< H_k = V_k diag(lambda_k) V_k^dag.
+    std::vector<kernels::SoaMatrix> ys;  ///< Y_k = V_k^dag P_k.
+    kernels::SoaMatrix p, v, vd, z, mt, nmat, vn, s, b;
 
     GrapeWorkspace(const DeviceModel& dev, const CMatrix& target,
                    int steps, const GrapeOptions& opts)
         : device(dev), qdim(static_cast<double>(1 << dev.numQubits())),
           nSteps(steps), dt(opts.dt), options(opts)
     {
-        effTarget = CMatrix(dev.dim(), dev.dim());
+        const int d = dev.dim();
+        effTarget = CMatrix(d, d);
         const std::vector<int> comp = dev.computationalIndices();
         const int q = static_cast<int>(comp.size());
         panicIf(target.rows() != q,
@@ -41,14 +65,36 @@ struct GrapeWorkspace
         for (int r = 0; r < q; ++r)
             for (int c = 0; c < q; ++c)
                 effTarget(comp[r], comp[c]) = target(r, c);
+        planarTarget.pack(effTarget);
+
+        // The gradient takes tr(H_c S) as the conjugated dot of H_c
+        // with S, which holds only for Hermitian controls.
+        planarControls.resize(dev.numControls());
+        for (int c = 0; c < dev.numControls(); ++c) {
+            const CMatrix& op = dev.controls()[c].op;
+            panicIf(!op.isHermitian(), "GRAPE control ", c,
+                    " is not Hermitian");
+            planarControls[c].pack(op);
+        }
 
         envelope.resize(steps);
         const double mid = 0.5 * (steps - 1);
         const double sigma = std::max(1.0, steps / 4.0);
         for (int k = 0; k < steps; ++k) {
-            const double z = (k - mid) / sigma;
-            envelope[k] = std::exp(-0.5 * z * z);
+            const double zk = (k - mid) / sigma;
+            envelope[k] = std::exp(-0.5 * zk * zk);
         }
+
+        u.resize(static_cast<size_t>(numParams()));
+        amps.resize(dev.numControls());
+        phases.resize(d);
+        eigs.resize(steps);
+        ys.resize(steps);
+        for (kernels::SoaMatrix* m :
+             {&p, &v, &vd, &z, &mt, &nmat, &vn, &s, &b})
+            m->resize(d, d);
+        for (kernels::SoaMatrix& y : ys)
+            y.resize(d, d);
     }
 
     int numControls() const { return device.numControls(); }
@@ -70,6 +116,16 @@ struct GrapeWorkspace
         const double t = std::tanh(x[c * nSteps + k]);
         return bound * (1.0 - t * t);
     }
+
+    /** Step k's eigenbasis into v and vd = v^dag, and its phases. */
+    void
+    loadStep(int k)
+    {
+        v.pack(eigs[k].vectors);
+        vd.packDagger(eigs[k].vectors);
+        for (int i = 0; i < device.dim(); ++i)
+            phases[i] = std::polar(1.0, -dt * eigs[k].values[i]);
+    }
 };
 
 /**
@@ -77,55 +133,46 @@ struct GrapeWorkspace
  * written to *fidelity_out.
  */
 double
-evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
+evaluate(GrapeWorkspace& ws, const std::vector<double>& x,
          std::vector<double>* grad, double* fidelity_out)
 {
     const int n_steps = ws.nSteps;
     const int n_ctrl = ws.numControls();
     const int d = ws.device.dim();
+    const size_t dd = static_cast<size_t>(d) * static_cast<size_t>(d);
     const double dt = ws.dt;
+    std::vector<double>& u = ws.u;
 
-    // Amplitudes for every (control, step).
-    std::vector<std::vector<double>> u(
-        n_ctrl, std::vector<double>(n_steps, 0.0));
     for (int c = 0; c < n_ctrl; ++c)
         for (int k = 0; k < n_steps; ++k)
-            u[c][k] = ws.amplitude(x, c, k);
+            u[c * n_steps + k] = ws.amplitude(x, c, k);
 
-    // Forward pass: store the cumulative products
-    // P_k = U_{k-1} ... U_0 (partials[k]). When gradients are needed,
-    // the slice Hamiltonians are eigendecomposed so both the
-    // propagator and its exact derivative come from the same
-    // factorization.
-    std::vector<CMatrix> props(n_steps);
-    std::vector<CMatrix> partials(n_steps + 1);
-    std::vector<EigResult> eigs;
-    if (grad)
-        eigs.resize(n_steps);
-    partials[0] = CMatrix::identity(d);
-    std::vector<double> amps(n_ctrl);
-    // One step's e^{-i dt lambda_i}, reused by every step of both passes.
-    std::vector<Complex> phases(d);
+    // Forward pass: P_{k+1} = U_k P_k from P_0 = I. When gradients are
+    // needed, each slice Hamiltonian is eigendecomposed so the
+    // propagator and its exact derivative share one factorization:
+    // with Y_k = V_k^dag P_k (kept for the backward pass),
+    // P_{k+1} = (V_k Lambda_k) Y_k, Lambda_k = diag(e^{-i dt lambda}).
+    setIdentity(ws.p);
     for (int k = 0; k < n_steps; ++k) {
         for (int c = 0; c < n_ctrl; ++c)
-            amps[c] = u[c][k];
-        const CMatrix h = sliceHamiltonian(ws.device, amps);
+            ws.amps[c] = u[c * n_steps + k];
+        const CMatrix h = sliceHamiltonian(ws.device, ws.amps);
         if (grad) {
-            eigs[k] = eigHermitian(h);
-            for (int i = 0; i < d; ++i)
-                phases[i] = std::polar(1.0, -dt * eigs[k].values[i]);
-            props[k] = kernels::scaledDaggerSandwich(eigs[k].vectors,
-                                                     phases);
+            ws.eigs[k] = eigHermitian(h);
+            ws.loadStep(k);
+            kernels::gemm(ws.ys[k], ws.vd, ws.p);
+            kernels::scaleColumns(ws.v, ws.phases.data());
+            kernels::gemm(ws.p, ws.v, ws.ys[k]);
         } else {
-            props[k] = slicePropagator(h, dt);
+            ws.v.pack(slicePropagator(h, dt));
+            kernels::gemm(ws.z, ws.v, ws.p);
+            ws.p.swap(ws.z);
         }
-        partials[k + 1] = props[k] * partials[k];
     }
 
     // tr(E^dag P) is the elementwise conjugated dot of E with P.
-    const Complex overlap = kernels::dotcInterleaved(
-        ws.effTarget.data(), partials[n_steps].data(),
-        static_cast<size_t>(d) * static_cast<size_t>(d));
+    const Complex overlap = kernels::dotc(
+        ws.planarTarget.re(), ws.planarTarget.im(), ws.p.re(), ws.p.im(), dd);
     const double fidelity = std::norm(overlap) / (ws.qdim * ws.qdim);
     if (fidelity_out)
         *fidelity_out = fidelity;
@@ -135,12 +182,13 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
     const double denom = static_cast<double>(n_ctrl * n_steps);
     double amp_cost = 0.0, slope_cost = 0.0, env_cost = 0.0;
     for (int c = 0; c < n_ctrl; ++c) {
+        const double* uc = u.data() + c * n_steps;
         for (int k = 0; k < n_steps; ++k) {
-            amp_cost += u[c][k] * u[c][k];
-            const double masked = u[c][k] * (1.0 - ws.envelope[k]);
+            amp_cost += uc[k] * uc[k];
+            const double masked = uc[k] * (1.0 - ws.envelope[k]);
             env_cost += masked * masked;
             if (k + 1 < n_steps) {
-                const double diff = u[c][k + 1] - u[c][k];
+                const double diff = uc[k + 1] - uc[k];
                 slope_cost += diff * diff;
             }
         }
@@ -160,53 +208,54 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
     // Phi_ij = (e^{-i dt li} - e^{-i dt lj}) / (li - lj). Substituting
     // into dO/du = tr(B_k dU P_k) and collecting the V factors yields
     //   dO/du_c = tr(H_c S_k),  S_k = V (Phi^T o Mt) V^dag,
-    // with Mt = V^dag P_k B_k V shared across all controls.
-    CMatrix b = ws.effTarget.dagger();
+    // with Mt = V^dag P_k B_k V = Y_k Z, Z = B_k V, shared across all
+    // controls. B starts at E^dag and folds in one propagator per
+    // step: B_{k-1} = B_k U_k = (Z Lambda_k) V^dag.
+    ws.b.packDagger(ws.effTarget);
     const Complex o_conj = std::conj(overlap);
     for (int k = n_steps - 1; k >= 0; --k) {
-        const CMatrix& v = eigs[k].vectors;
-        const CMatrix vd = v.dagger();
-        const std::vector<double>& lam = eigs[k].values;
-        const CMatrix mt = vd * (partials[k] * b) * v;
-        for (int i = 0; i < d; ++i)
-            phases[i] = std::polar(1.0, -dt * lam[i]);
+        ws.loadStep(k);
+        const std::vector<double>& lam = ws.eigs[k].values;
+        kernels::gemm(ws.z, ws.b, ws.v);
+        kernels::gemm(ws.mt, ws.ys[k], ws.z);
 
-        // N = Phi^T o Mt, then S = V N V^dag.
-        CMatrix nmat(d, d);
+        // N = Phi^T o Mt, then S = (V N) V^dag.
         for (int j = 0; j < d; ++j) {
             for (int i = 0; i < d; ++i) {
                 const double dl = lam[i] - lam[j];
                 const Complex phi = std::abs(dl) < 1e-9
-                                        ? Complex{0.0, -dt} * phases[i]
-                                        : (phases[i] - phases[j]) / dl;
+                                        ? Complex{0.0, -dt} * ws.phases[i]
+                                        : (ws.phases[i] - ws.phases[j]) / dl;
                 // N_ji = Phi_ij * Mt_ji.
-                nmat(j, i) = phi * mt(j, i);
+                const int ji = j * d + i;
+                const Complex n_ji =
+                    phi * Complex{ws.mt.re()[ji], ws.mt.im()[ji]};
+                ws.nmat.re()[ji] = n_ji.real();
+                ws.nmat.im()[ji] = n_ji.imag();
             }
         }
-        const CMatrix s = v * nmat * vd;
-        // tr(H_c S) = sum_ij H_c(i,j) S(j,i); transposing S once lets
-        // every control's trace run as a contiguous dot product.
-        const CMatrix st = s.transpose();
+        kernels::gemm(ws.vn, ws.v, ws.nmat);
+        kernels::gemm(ws.s, ws.vn, ws.vd);
 
         for (int c = 0; c < n_ctrl; ++c) {
-            const CMatrix& hc = ws.device.controls()[c].op;
-            const Complex d_overlap = kernels::dotuInterleaved(
-                hc.data(), st.data(),
-                static_cast<size_t>(d) * static_cast<size_t>(d));
+            // tr(H_c S) = sum_ij H_c(i,j) S(j,i) = sum_ij conj(H_c(j,i))
+            // S(j,i) for Hermitian H_c: a conjugated dot, no transpose.
+            const kernels::SoaMatrix& hc = ws.planarControls[c];
+            const Complex d_overlap = kernels::dotc(
+                hc.re(), hc.im(), ws.s.re(), ws.s.im(), dd);
             const double d_fid =
                 2.0 * (o_conj * d_overlap).real() / (ws.qdim * ws.qdim);
 
             // Regularizer gradients w.r.t. u[c][k].
-            double d_reg = ws.options.amplitudeWeight * 2.0 * u[c][k];
+            const double* uc = u.data() + c * n_steps;
+            double d_reg = ws.options.amplitudeWeight * 2.0 * uc[k];
             const double mask = 1.0 - ws.envelope[k];
-            d_reg += ws.options.envelopeWeight * 2.0 * u[c][k] * mask *
+            d_reg += ws.options.envelopeWeight * 2.0 * uc[k] * mask *
                      mask;
             if (k + 1 < n_steps)
-                d_reg -= ws.options.slopeWeight * 2.0 *
-                         (u[c][k + 1] - u[c][k]);
+                d_reg -= ws.options.slopeWeight * 2.0 * (uc[k + 1] - uc[k]);
             if (k > 0)
-                d_reg += ws.options.slopeWeight * 2.0 *
-                         (u[c][k] - u[c][k - 1]);
+                d_reg += ws.options.slopeWeight * 2.0 * (uc[k] - uc[k - 1]);
             d_reg /= denom;
 
             (*grad)[c * n_steps + k] =
@@ -214,8 +263,10 @@ evaluate(const GrapeWorkspace& ws, const std::vector<double>& x,
         }
 
         // Fold step k's propagator into B for the next iteration.
-        if (k > 0)
-            b = b * props[k];
+        if (k > 0) {
+            kernels::scaleColumns(ws.z, ws.phases.data());
+            kernels::gemm(ws.b, ws.z, ws.vd);
+        }
     }
     return cost;
 }

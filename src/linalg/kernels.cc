@@ -20,6 +20,12 @@
  * so the compiler cannot fuse the scalar references' mul/add pairs
  * into FMAs; the AVX2 paths deliberately use separate mul/add/sub
  * intrinsics for the same reason.
+ *
+ * Dispatch is per call at run time: on x86-64 every AVX2 body is
+ * compiled with a `target("avx2")` attribute (AVX2 only — no FMA)
+ * whatever the build's -march, and each dispatching entry point runs
+ * it when the host CPU reports AVX2, else the `...Scalar` reference.
+ * Other targets compile only the scalar references.
  */
 
 #include "linalg/kernels.h"
@@ -30,11 +36,13 @@
 
 #include "common/logging.h"
 
-#if defined(__AVX2__)
+#if defined(__x86_64__) && defined(__GNUC__)
 #include <immintrin.h>
-#define QPC_KERNELS_AVX2 1
+#define QPC_KERNELS_X86 1
+/** Compiles one function for AVX2 regardless of the build's -march. */
+#define QPC_AVX2 __attribute__((target("avx2")))
 #else
-#define QPC_KERNELS_AVX2 0
+#define QPC_KERNELS_X86 0
 #endif
 
 namespace qpc::kernels {
@@ -59,18 +67,34 @@ freeAligned(double* p)
         ::operator delete(p, kAlign);
 }
 
+/** True when the dispatchers run the AVX2 bodies: the host CPU (and
+ * its OS) supports AVX2. Probed once per process. */
+bool
+useAvx2()
+{
+#if QPC_KERNELS_X86
+    static const bool supported = [] {
+        __builtin_cpu_init();
+        return __builtin_cpu_supports("avx2") != 0;
+    }();
+    return supported;
+#else
+    return false;
+#endif
+}
+
 } // namespace
 
 bool
 simdEnabled()
 {
-    return QPC_KERNELS_AVX2 != 0;
+    return useAvx2();
 }
 
 const char*
 backendName()
 {
-    return QPC_KERNELS_AVX2 ? "avx2" : "scalar";
+    return useAvx2() ? "avx2" : "scalar";
 }
 
 SoaMatrix::~SoaMatrix()
@@ -183,10 +207,12 @@ gemmScalar(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
-void
-gemm(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
+namespace {
+
+QPC_AVX2 void
+gemmAvx2(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
 {
     const int n = a.rows(), k = a.cols(), m = b.cols();
     panicIf(b.rows() != k || c.rows() != n || c.cols() != m,
@@ -259,15 +285,19 @@ gemm(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 gemm(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return gemmAvx2(c, a, b);
+#endif
     gemmScalar(c, a, b);
 }
-
-#endif
 
 // ---------------------------------------------------------------------------
 // gemv (row dot products, 8-lane striped reduction — see
@@ -305,13 +335,13 @@ gemvScalar(double* yre, double* yim, const SoaMatrix& a,
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
 namespace {
 
 /** (l0 + l2) + (l1 + l3) — the horizontal-sum order every scalar
  * reduction reference mirrors. */
-inline double
+QPC_AVX2 inline double
 hsum(__m256d v)
 {
     const __m128d lo = _mm256_castpd256_pd128(v);
@@ -321,7 +351,7 @@ hsum(__m256d v)
 }
 
 /** Deinterleave 4 complex numbers at p into re/im lanes. */
-inline void
+QPC_AVX2 inline void
 load4c(const double* p, __m256d& re, __m256d& im)
 {
     const __m256d v0 = _mm256_loadu_pd(p);
@@ -333,7 +363,7 @@ load4c(const double* p, __m256d& re, __m256d& im)
 }
 
 /** Re-interleave 4 complex numbers from re/im lanes to p. */
-inline void
+QPC_AVX2 inline void
 store4c(double* p, __m256d re, __m256d im)
 {
     const __m256d t0 = _mm256_unpacklo_pd(re, im);
@@ -342,11 +372,9 @@ store4c(double* p, __m256d re, __m256d im)
     _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(t0, t1, 0x31));
 }
 
-} // namespace
-
-void
-gemv(double* yre, double* yim, const SoaMatrix& a, const double* xre,
-     const double* xim)
+QPC_AVX2 void
+gemvAvx2(double* yre, double* yim, const SoaMatrix& a, const double* xre,
+         const double* xim)
 {
     const int n = a.rows(), m = a.cols();
     const int m8 = m & ~7;
@@ -396,16 +424,20 @@ gemv(double* yre, double* yim, const SoaMatrix& a, const double* xre,
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 gemv(double* yre, double* yim, const SoaMatrix& a, const double* xre,
      const double* xim)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return gemvAvx2(yre, yim, a, xre, xim);
+#endif
     gemvScalar(yre, yim, a, xre, xim);
 }
-
-#endif
 
 // ---------------------------------------------------------------------------
 // axpy
@@ -429,10 +461,12 @@ axpyScalar(Complex alpha, const double* xre, const double* xim,
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
-void
-axpy(Complex alpha, const double* xre, const double* xim, double* yre,
+namespace {
+
+QPC_AVX2 void
+axpyAvx2(Complex alpha, const double* xre, const double* xim, double* yre,
      double* yim, std::size_t n)
 {
     const double ar = alpha.real();
@@ -465,16 +499,20 @@ axpy(Complex alpha, const double* xre, const double* xim, double* yre,
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 axpy(Complex alpha, const double* xre, const double* xim, double* yre,
      double* yim, std::size_t n)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return axpyAvx2(alpha, xre, xim, yre, yim, n);
+#endif
     axpyScalar(alpha, xre, xim, yre, yim, n);
 }
-
-#endif
 
 // ---------------------------------------------------------------------------
 // dot products (planar)
@@ -525,10 +563,10 @@ dotPlanarScalar(const double* xre, const double* xim, const double* yre,
     return Complex{sr, si};
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
 template <bool Conj>
-Complex
+QPC_AVX2 Complex
 dotPlanarAvx2(const double* xre, const double* xim, const double* yre,
               const double* yim, std::size_t n)
 {
@@ -615,22 +653,22 @@ Complex
 dotc(const double* xre, const double* xim, const double* yre,
      const double* yim, std::size_t n)
 {
-#if QPC_KERNELS_AVX2
-    return dotPlanarAvx2<true>(xre, xim, yre, yim, n);
-#else
-    return dotPlanarScalar<true>(xre, xim, yre, yim, n);
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return dotPlanarAvx2<true>(xre, xim, yre, yim, n);
 #endif
+    return dotPlanarScalar<true>(xre, xim, yre, yim, n);
 }
 
 Complex
 dotu(const double* xre, const double* xim, const double* yre,
      const double* yim, std::size_t n)
 {
-#if QPC_KERNELS_AVX2
-    return dotPlanarAvx2<false>(xre, xim, yre, yim, n);
-#else
-    return dotPlanarScalar<false>(xre, xim, yre, yim, n);
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return dotPlanarAvx2<false>(xre, xim, yre, yim, n);
 #endif
+    return dotPlanarScalar<false>(xre, xim, yre, yim, n);
 }
 
 // ---------------------------------------------------------------------------
@@ -659,28 +697,23 @@ scaleColumnsScalar(SoaMatrix& m, const Complex* factors)
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
-void
-scaleColumns(SoaMatrix& m, const Complex* factors)
+namespace {
+
+QPC_AVX2 void
+scaleColumnsAvx2(SoaMatrix& m, const Complex* factors)
 {
     const int rows = m.rows(), cols = m.cols();
     const int c4 = cols & ~3;
-    // Planar copies of the factors so the vector loop streams them.
-    thread_local std::vector<double> fre, fim;
-    fre.resize(static_cast<std::size_t>(cols));
-    fim.resize(static_cast<std::size_t>(cols));
-    for (int c = 0; c < cols; ++c) {
-        fre[c] = factors[c].real();
-        fim[c] = factors[c].imag();
-    }
+    const double* f = reinterpret_cast<const double*>(factors);
     for (int r = 0; r < rows; ++r) {
         double* mr = m.re() + static_cast<std::size_t>(r) * cols;
         double* mi = m.im() + static_cast<std::size_t>(r) * cols;
         int c = 0;
         for (; c < c4; c += 4) {
-            const __m256d vfr = _mm256_loadu_pd(fre.data() + c);
-            const __m256d vfi = _mm256_loadu_pd(fim.data() + c);
+            __m256d vfr, vfi;
+            load4c(f + 2 * c, vfr, vfi);
             const __m256d vr = _mm256_loadu_pd(mr + c);
             const __m256d vi = _mm256_loadu_pd(mi + c);
             __m256d tr = _mm256_mul_pd(vr, vfr);
@@ -691,8 +724,8 @@ scaleColumns(SoaMatrix& m, const Complex* factors)
             _mm256_storeu_pd(mi + c, ti);
         }
         for (; c < cols; ++c) {
-            const double fr = fre[c];
-            const double fi = fim[c];
+            const double fr = factors[c].real();
+            const double fi = factors[c].imag();
             const double vr = mr[c];
             const double vi = mi[c];
             double tr = vr * fr;
@@ -705,15 +738,19 @@ scaleColumns(SoaMatrix& m, const Complex* factors)
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 scaleColumns(SoaMatrix& m, const Complex* factors)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return scaleColumnsAvx2(m, factors);
+#endif
     scaleColumnsScalar(m, factors);
 }
-
-#endif
 
 // ---------------------------------------------------------------------------
 // statevector gate applies (interleaved boundary)
@@ -758,10 +795,12 @@ applyGate1Scalar(Complex* amps, std::size_t dim, std::size_t stride,
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
-void
-applyGate1(Complex* amps, std::size_t dim, std::size_t stride,
+namespace {
+
+QPC_AVX2 void
+applyGate1Avx2(Complex* amps, std::size_t dim, std::size_t stride,
            const Complex* u)
 {
     if (stride < 4) {
@@ -808,16 +847,20 @@ applyGate1(Complex* amps, std::size_t dim, std::size_t stride,
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 applyGate1(Complex* amps, std::size_t dim, std::size_t stride,
            const Complex* u)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return applyGate1Avx2(amps, dim, stride, u);
+#endif
     applyGate1Scalar(amps, dim, stride, u);
 }
-
-#endif
 
 void
 applyGate2Scalar(Complex* amps, std::size_t dim, std::size_t s0,
@@ -864,10 +907,12 @@ applyGate2Scalar(Complex* amps, std::size_t dim, std::size_t s0,
     }
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
-void
-applyGate2(Complex* amps, std::size_t dim, std::size_t s0,
+namespace {
+
+QPC_AVX2 void
+applyGate2Avx2(Complex* amps, std::size_t dim, std::size_t s0,
            std::size_t s1, const Complex* u)
 {
     const std::size_t hi = s0 > s1 ? s0 : s1;
@@ -915,16 +960,20 @@ applyGate2(Complex* amps, std::size_t dim, std::size_t s0,
     }
 }
 
-#else
+} // namespace
+
+#endif
 
 void
 applyGate2(Complex* amps, std::size_t dim, std::size_t s0,
            std::size_t s1, const Complex* u)
 {
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return applyGate2Avx2(amps, dim, s0, s1, u);
+#endif
     applyGate2Scalar(amps, dim, s0, s1, u);
 }
-
-#endif
 
 // ---------------------------------------------------------------------------
 // interleaved dot products
@@ -975,10 +1024,10 @@ dotInterleavedScalar(const Complex* a, const Complex* b, std::size_t n)
     return Complex{sr, si};
 }
 
-#if QPC_KERNELS_AVX2
+#if QPC_KERNELS_X86
 
 template <bool Conj>
-Complex
+QPC_AVX2 Complex
 dotInterleavedAvx2(const Complex* a, const Complex* b, std::size_t n)
 {
     const double* x = reinterpret_cast<const double*>(a);
@@ -1055,21 +1104,21 @@ dotuInterleavedScalar(const Complex* a, const Complex* b, std::size_t n)
 Complex
 dotcInterleaved(const Complex* a, const Complex* b, std::size_t n)
 {
-#if QPC_KERNELS_AVX2
-    return dotInterleavedAvx2<true>(a, b, n);
-#else
-    return dotInterleavedScalar<true>(a, b, n);
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return dotInterleavedAvx2<true>(a, b, n);
 #endif
+    return dotInterleavedScalar<true>(a, b, n);
 }
 
 Complex
 dotuInterleaved(const Complex* a, const Complex* b, std::size_t n)
 {
-#if QPC_KERNELS_AVX2
-    return dotInterleavedAvx2<false>(a, b, n);
-#else
-    return dotInterleavedScalar<false>(a, b, n);
+#if QPC_KERNELS_X86
+    if (useAvx2())
+        return dotInterleavedAvx2<false>(a, b, n);
 #endif
+    return dotInterleavedScalar<false>(a, b, n);
 }
 
 // ---------------------------------------------------------------------------

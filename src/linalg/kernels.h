@@ -6,16 +6,17 @@
  * statevector gate application, `expm`, and the GRAPE gradient. This
  * layer gives those loops a planar (separate re/im arrays, 32-byte
  * aligned) complex representation and hand-vectorized AVX2 inner
- * loops, compiled in when the build targets a machine with AVX2
- * (the `QPC_NATIVE` CMake option, i.e. `-march=native`).
+ * loops. On x86-64 every build compiles the AVX2 bodies, and each
+ * dispatching kernel runs them when the host CPU supports AVX2 (probed
+ * once per process), else its scalar reference; no build option is
+ * involved.
  *
  * Contract: every dispatching kernel has a scalar fallback that is
  * **bit-compatible** with the AVX2 path — identical operations on
  * identical elements in identical order, no FMA contraction (this
- * translation unit is built with `-ffp-contract=off`). A binary built
- * without AVX2 therefore produces bit-for-bit the same results as one
- * built with it, which is what lets the scalar CI lanes stand in for
- * the vectorized production build numerically.
+ * translation unit is built with `-ffp-contract=off`, and the AVX2
+ * bodies target AVX2 only). A host without AVX2 therefore computes
+ * bit-for-bit the same results as one with it.
  *
  * Consumers convert at the boundary: `CMatrix` keeps its row-major
  * array-of-structs `std::complex<double>` public API, and the
@@ -35,7 +36,8 @@
 
 namespace qpc::kernels {
 
-/** True when the dispatching kernels run the AVX2 paths. */
+/** True when the dispatching kernels run the AVX2 paths (the host
+ * CPU supports AVX2). */
 bool simdEnabled();
 
 /** "avx2" or "scalar" — for bench/test labeling. */

@@ -33,6 +33,24 @@ TEST(GrapeSmoke, GradientMatchesFiniteDifferencesTwoQubit)
     EXPECT_LT(err, 2e-3);
 }
 
+TEST(GrapeSmoke, GradientMatchesFiniteDifferencesWidthThree)
+{
+    // Width-3 block (d = 8) with every regularizer on: the backward
+    // pass's eigenbasis products and the regularizer gradients both
+    // face central differences.
+    const DeviceModel device = DeviceModel::gmonClique(3);
+    Rng rng(43);
+    const CMatrix target = haarUnitary(8, rng);
+    GrapeOptions options;
+    options.dt = 0.1;
+    options.amplitudeWeight = 0.3;
+    options.slopeWeight = 0.2;
+    options.envelopeWeight = 0.5;
+    const double err =
+        grapeGradientCheck(device, target, 4.0, options, 20);
+    EXPECT_LT(err, 2e-3);
+}
+
 TEST(GrapeSmoke, FindsHadamardPulse)
 {
     DeviceModel device = DeviceModel::gmonLine(1);

@@ -2,9 +2,10 @@
  * Property tests for the SoA kernels layer: randomized equivalence
  * against scalar references (<= 1e-12 elementwise, including
  * non-multiple-of-vector-width and size-1 edges), and bit-identity
- * between every dispatching kernel and its `...Scalar` mirror — the
- * contract that lets scalar CI lanes stand in numerically for the
- * QPC_NATIVE production build.
+ * between every dispatching kernel and its `...Scalar` mirror. The
+ * dispatchers run the AVX2 bodies whenever the host CPU has AVX2, so
+ * on such a host every build — sanitizer lanes included — checks the
+ * vector paths against the scalar references here.
  */
 
 #include <gtest/gtest.h>
@@ -46,10 +47,16 @@ const int kEdgeSizes[] = {1, 2, 3, 4, 5, 7, 8, 13, 16, 33};
 
 TEST(Kernels, BackendNameMatchesDispatch)
 {
-    if (kernels::simdEnabled())
-        EXPECT_STREQ(kernels::backendName(), "avx2");
-    else
-        EXPECT_STREQ(kernels::backendName(), "scalar");
+    // The dispatchers pick AVX2 exactly when the host CPU has it,
+    // whatever -march the build used.
+#if defined(__x86_64__) && defined(__GNUC__)
+    __builtin_cpu_init();
+    const bool avx2 = __builtin_cpu_supports("avx2") != 0;
+#else
+    const bool avx2 = false;
+#endif
+    EXPECT_EQ(kernels::simdEnabled(), avx2);
+    EXPECT_STREQ(kernels::backendName(), avx2 ? "avx2" : "scalar");
 }
 
 TEST(Kernels, PackUnpackRoundTrips)
@@ -372,6 +379,16 @@ TEST(Kernels, ScaledDaggerSandwichMatchesNaiveProduct)
 
         const CMatrix got = kernels::scaledDaggerSandwich(v, f);
         EXPECT_LE(want.maxAbsDiff(got), 1e-12) << "dim " << n;
+
+        // Bit-identical to the same composition on the scalar mirrors.
+        kernels::SoaMatrix a, b, c(n, n);
+        a.pack(v);
+        kernels::scaleColumnsScalar(a, f.data());
+        b.packDagger(v);
+        kernels::gemmScalar(c, a, b);
+        CMatrix mirror;
+        c.unpack(mirror);
+        EXPECT_EQ(mirror.maxAbsDiff(got), 0.0) << "dim " << n;
     }
 }
 
@@ -387,6 +404,15 @@ TEST(Kernels, MultiplyIntoStillMatchesReferenceAboveThreshold)
     kernels::gemmAosReference(want, a, b);
     const CMatrix got = a * b;
     EXPECT_LE(want.maxAbsDiff(got), 1e-12);
+
+    // Bit-identical to pack + the scalar gemm mirror.
+    kernels::SoaMatrix sa, sb, sc(16, 16);
+    sa.pack(a);
+    sb.pack(b);
+    kernels::gemmScalar(sc, sa, sb);
+    CMatrix mirror;
+    sc.unpack(mirror);
+    EXPECT_EQ(mirror.maxAbsDiff(got), 0.0);
 }
 
 } // namespace
