@@ -377,6 +377,10 @@ benchSubstrate()
     const DeviceModel clique3 = DeviceModel::gmonClique(3);
     const CMatrix h8 = sliceHamiltonian(
         clique3, std::vector<double>(clique3.numControls(), 0.1));
+    // GRAPE's own path: the same Hamiltonian through the real solver.
+    double h8r[64], vals8[8], vecs8[64];
+    for (int i = 0; i < 64; ++i)
+        h8r[i] = h8.data()[i].real();
 
     const struct
     {
@@ -398,6 +402,10 @@ benchSubstrate()
         {"eig8", nsPerOp([&] {
              EigResult eig = eigHermitian(h8);
              clobber(eig.values.data());
+         })},
+        {"eig8sym", nsPerOp([&] {
+             eigSymmetric(h8r, 8, vals8, vecs8);
+             clobber(vecs8);
          })},
         {"eig16", nsPerOp([&] {
              EigResult eig = eigHermitian(h);

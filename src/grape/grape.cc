@@ -8,7 +8,6 @@
 #include "common/rng.h"
 #include "linalg/eig.h"
 #include "linalg/kernels.h"
-#include "pulse/evolve.h"
 
 namespace qpc {
 
@@ -26,11 +25,28 @@ setIdentity(kernels::SoaMatrix& m)
 }
 
 /**
+ * True when m has exactly zero imaginary parts and is symmetric within
+ * the eigensolver's 1e-9 tolerance.
+ */
+bool
+isRealSymmetric(const CMatrix& m)
+{
+    for (int i = 0; i < m.rows() * m.cols(); ++i)
+        if (m.data()[i].imag() != 0.0)
+            return false;
+    return m.isHermitian();
+}
+
+/**
  * Shared state for one GRAPE run's cost/gradient evaluations over the
  * flat parameter vector x, laid out as x[c * nSteps + k]. Every
  * per-evaluation buffer is sized here, once per run, and reused by
  * each evaluation; the d x d ones are planar so the products run
  * straight through the SoA kernels without a pack per multiply.
+ *
+ * The drift and every control must be real symmetric (checked here),
+ * so each slice Hamiltonian is assembled and diagonalized in real
+ * arithmetic, and the eigenbases V_k are real.
  */
 struct GrapeWorkspace
 {
@@ -42,12 +58,16 @@ struct GrapeWorkspace
     const GrapeOptions& options;
     std::vector<double> envelope;   ///< Gaussian window g_k.
     kernels::SoaMatrix planarTarget;  ///< E, planar.
-    std::vector<kernels::SoaMatrix> planarControls;  ///< H_c, planar.
+    /// H_c, planar; the real planes double as the assembly's controls.
+    std::vector<kernels::SoaMatrix> planarControls;
+    std::vector<double> drift;      ///< Real drift, row-major d x d.
 
     std::vector<double> u;          ///< Amplitudes, u[c * nSteps + k].
-    std::vector<double> amps;       ///< One step's amplitudes.
+    std::vector<double> h;          ///< One step's real Hamiltonian.
     std::vector<Complex> phases;    ///< One step's e^{-i dt lambda_i}.
-    std::vector<EigResult> eigs;    ///< H_k = V_k diag(lambda_k) V_k^dag.
+    /// H_k = V_k diag(lambda_k) V_k^T: lambda_k at lambdas[k * d],
+    /// row-major V_k at bases[k * d * d].
+    std::vector<double> lambdas, bases;
     std::vector<kernels::SoaMatrix> ys;  ///< Y_k = V_k^dag P_k.
     kernels::SoaMatrix p, v, vd, z, mt, nmat, vn, s, b;
 
@@ -57,6 +77,7 @@ struct GrapeWorkspace
           nSteps(steps), dt(opts.dt), options(opts)
     {
         const int d = dev.dim();
+        const size_t dd = static_cast<size_t>(d) * static_cast<size_t>(d);
         effTarget = CMatrix(d, d);
         const std::vector<int> comp = dev.computationalIndices();
         const int q = static_cast<int>(comp.size());
@@ -67,13 +88,18 @@ struct GrapeWorkspace
                 effTarget(comp[r], comp[c]) = target(r, c);
         planarTarget.pack(effTarget);
 
-        // The gradient takes tr(H_c S) as the conjugated dot of H_c
-        // with S, which holds only for Hermitian controls.
+        // Real symmetric controls also make the gradient's tr(H_c S)
+        // a conjugated dot of H_c with S.
+        panicIf(!isRealSymmetric(dev.drift()),
+                "GRAPE drift is not real symmetric");
+        drift.resize(dd);
+        for (size_t i = 0; i < dd; ++i)
+            drift[i] = dev.drift().data()[i].real();
         planarControls.resize(dev.numControls());
         for (int c = 0; c < dev.numControls(); ++c) {
             const CMatrix& op = dev.controls()[c].op;
-            panicIf(!op.isHermitian(), "GRAPE control ", c,
-                    " is not Hermitian");
+            panicIf(!isRealSymmetric(op), "GRAPE control ", c,
+                    " is not real symmetric");
             planarControls[c].pack(op);
         }
 
@@ -86,15 +112,19 @@ struct GrapeWorkspace
         }
 
         u.resize(static_cast<size_t>(numParams()));
-        amps.resize(dev.numControls());
+        h.resize(dd);
         phases.resize(d);
-        eigs.resize(steps);
+        lambdas.resize(static_cast<size_t>(steps) * d);
+        bases.resize(static_cast<size_t>(steps) * dd);
         ys.resize(steps);
         for (kernels::SoaMatrix* m :
              {&p, &v, &vd, &z, &mt, &nmat, &vn, &s, &b})
             m->resize(d, d);
         for (kernels::SoaMatrix& y : ys)
             y.resize(d, d);
+        // Only loadStep writes v and vd, and only their real planes.
+        std::fill(v.im(), v.im() + dd, 0.0);
+        std::fill(vd.im(), vd.im() + dd, 0.0);
     }
 
     int numControls() const { return device.numControls(); }
@@ -117,14 +147,44 @@ struct GrapeWorkspace
         return bound * (1.0 - t * t);
     }
 
-    /** Step k's eigenbasis into v and vd = v^dag, and its phases. */
+    const double* lambda(int k) const { return &lambdas[k * device.dim()]; }
+    const double* basis(int k) const
+    {
+        return &bases[static_cast<size_t>(k) * device.dim() * device.dim()];
+    }
+
+    /** H_k = drift + sum_c u_c(k) H_c into h, then its eigenpairs. */
+    void
+    diagonalizeStep(int k)
+    {
+        const int d = device.dim();
+        const size_t dd = h.size();
+        std::copy(drift.begin(), drift.end(), h.begin());
+        for (int c = 0; c < numControls(); ++c) {
+            const double amp = u[c * nSteps + k];
+            if (amp == 0.0)
+                continue;
+            const double* op = planarControls[c].re();
+            for (size_t i = 0; i < dd; ++i)
+                h[i] += op[i] * amp;
+        }
+        eigSymmetric(h.data(), d, &lambdas[k * d],
+                     &bases[static_cast<size_t>(k) * dd]);
+    }
+
+    /** Step k's eigenbasis into v and vd = v^T, and its phases. */
     void
     loadStep(int k)
     {
-        v.pack(eigs[k].vectors);
-        vd.packDagger(eigs[k].vectors);
-        for (int i = 0; i < device.dim(); ++i)
-            phases[i] = std::polar(1.0, -dt * eigs[k].values[i]);
+        const int d = device.dim();
+        const double* vk = basis(k);
+        std::copy(vk, vk + d * d, v.re());
+        for (int i = 0; i < d; ++i)
+            for (int j = 0; j < d; ++j)
+                vd.re()[i * d + j] = vk[j * d + i];
+        const double* lam = lambda(k);
+        for (int i = 0; i < d; ++i)
+            phases[i] = std::polar(1.0, -dt * lam[i]);
     }
 };
 
@@ -147,27 +207,24 @@ evaluate(GrapeWorkspace& ws, const std::vector<double>& x,
         for (int k = 0; k < n_steps; ++k)
             u[c * n_steps + k] = ws.amplitude(x, c, k);
 
-    // Forward pass: P_{k+1} = U_k P_k from P_0 = I. When gradients are
-    // needed, each slice Hamiltonian is eigendecomposed so the
-    // propagator and its exact derivative share one factorization:
-    // with Y_k = V_k^dag P_k (kept for the backward pass),
-    // P_{k+1} = (V_k Lambda_k) Y_k, Lambda_k = diag(e^{-i dt lambda}).
+    // Forward pass: P_{k+1} = U_k P_k from P_0 = I. Each slice
+    // Hamiltonian is eigendecomposed so the propagator and its exact
+    // derivative share one factorization: with Y_k = V_k^dag P_k (kept
+    // for the backward pass), P_{k+1} = (V_k Lambda_k) Y_k,
+    // Lambda_k = diag(e^{-i dt lambda}). V_k is real, so V_k Lambda_k
+    // is V_k's entries times the column phases.
     setIdentity(ws.p);
     for (int k = 0; k < n_steps; ++k) {
-        for (int c = 0; c < n_ctrl; ++c)
-            ws.amps[c] = u[c * n_steps + k];
-        const CMatrix h = sliceHamiltonian(ws.device, ws.amps);
-        if (grad) {
-            ws.eigs[k] = eigHermitian(h);
-            ws.loadStep(k);
-            kernels::gemm(ws.ys[k], ws.vd, ws.p);
-            kernels::scaleColumns(ws.v, ws.phases.data());
-            kernels::gemm(ws.p, ws.v, ws.ys[k]);
-        } else {
-            ws.v.pack(slicePropagator(h, dt));
-            kernels::gemm(ws.z, ws.v, ws.p);
-            ws.p.swap(ws.z);
-        }
+        ws.diagonalizeStep(k);
+        ws.loadStep(k);
+        kernels::gemm(ws.ys[k], ws.vd, ws.p);
+        for (int i = 0; i < d; ++i)
+            for (int j = 0; j < d; ++j) {
+                const double vij = ws.v.re()[i * d + j];
+                ws.z.re()[i * d + j] = vij * ws.phases[j].real();
+                ws.z.im()[i * d + j] = vij * ws.phases[j].imag();
+            }
+        kernels::gemm(ws.p, ws.z, ws.ys[k]);
     }
 
     // tr(E^dag P) is the elementwise conjugated dot of E with P.
@@ -215,7 +272,7 @@ evaluate(GrapeWorkspace& ws, const std::vector<double>& x,
     const Complex o_conj = std::conj(overlap);
     for (int k = n_steps - 1; k >= 0; --k) {
         ws.loadStep(k);
-        const std::vector<double>& lam = ws.eigs[k].values;
+        const double* lam = ws.lambda(k);
         kernels::gemm(ws.z, ws.b, ws.v);
         kernels::gemm(ws.mt, ws.ys[k], ws.z);
 

@@ -4,10 +4,11 @@
  *
  * Numerically searches for the time-discretized control fields that
  * realize a target unitary on a device. The forward pass integrates
- * piecewise-constant evolution; gradients of the phase-invariant trace
- * fidelity are computed analytically by the adjoint method and fed to
- * ADAM, mirroring the TensorFlow implementation of Leung et al. that
- * the paper builds on.
+ * piecewise-constant evolution by diagonalizing each time slice's
+ * Hamiltonian, which must be real symmetric; gradients of the
+ * phase-invariant trace fidelity are computed analytically by the
+ * adjoint method and fed to ADAM, mirroring the TensorFlow
+ * implementation of Leung et al. that the paper builds on.
  *
  * Control fields are parametrized as u = maxAmp * tanh(x) so the
  * hardware amplitude bounds of Appendix A hold by construction, and
@@ -58,6 +59,10 @@ struct GrapeResult
  * unitary given in the qubit space (2^n dimensional); when the device
  * models qutrit levels, fidelity is evaluated on the computational
  * subspace so leakage is penalized.
+ *
+ * The device's drift and every control operator must be real
+ * symmetric (every DeviceModel is), so that each slice Hamiltonian is
+ * diagonalized by the real eigensolver; the run panics otherwise.
  */
 GrapeResult runGrapeFixedTime(const DeviceModel& device,
                               const CMatrix& target, double total_time_ns,

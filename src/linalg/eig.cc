@@ -45,6 +45,14 @@ class Scratch
     T* ptr_ = local_;
 };
 
+/** @name The only scalar operations that differ between instantiations. */
+///@{
+double conjugate(double x) { return x; }
+Complex conjugate(const Complex& z) { return std::conj(z); }
+double squaredMagnitude(double x) { return x * x; }
+double squaredMagnitude(const Complex& z) { return std::norm(z); }
+///@}
+
 /**
  * Householder reduction of the Hermitian matrix held in q (row-major,
  * n x n) to a real symmetric tridiagonal T with diagonal d and
@@ -54,60 +62,63 @@ class Scratch
  * with H_k = I - tau_k v v^dag (v kept in row k, right of the
  * diagonal), so T's subdiagonal comes out complex. A diagonal phase
  * matrix D then makes it real: D^dag T D has |T_{k+1,k}| below the
- * diagonal, and D is folded into Q's columns. Real input keeps every
- * reflector and phase real, so Q comes back real.
+ * diagonal, and D is folded into Q's columns. For T = double every
+ * reflector and phase is real (the phases are +-1), and each
+ * operation rounds exactly as the real part of its Complex
+ * counterpart on real input.
  */
+template <typename T>
 void
-tridiagonalize(Complex* q, int n, double* d, double* e)
+tridiagonalize(T* q, int n, double* d, double* e)
 {
     Scratch<double> tau(n);
-    Scratch<Complex> phase(n);
-    Scratch<Complex> w(n);
+    Scratch<T> phase(n);
+    Scratch<T> w(n);
 
     phase[0] = 1.0;
     for (int k = 0; k + 1 < n; ++k) {
-        d[k] = q[k * n + k].real();
+        d[k] = std::real(q[k * n + k]);
         // x = A[k+1:, k] = conj(A[k, k+1:]); v overwrites that row.
-        Complex* v = q + k * n + k + 1;
+        T* v = q + k * n + k + 1;
         const int m = n - k - 1;
-        const Complex x0 = std::conj(v[0]);
+        const T x0 = conjugate(v[0]);
         double tail = 0.0;
         for (int j = 1; j < m; ++j)
-            tail += std::norm(v[j]);
+            tail += squaredMagnitude(v[j]);
 
-        Complex alpha = x0;   // T_{k+1,k}
+        T alpha = x0;   // T_{k+1,k}
         tau[k] = 0.0;
         if (tail > 0.0) {
             const double ax0 = std::abs(x0);
             const double s = std::sqrt(ax0 * ax0 + tail);
-            const Complex ph = ax0 > 0.0 ? x0 / ax0 : Complex{1.0, 0.0};
+            const T ph = ax0 > 0.0 ? x0 / ax0 : T(1.0);
             alpha = -ph * s;
             tau[k] = 1.0 / (s * (s + ax0));
             v[0] = ph * (s + ax0);
             for (int j = 1; j < m; ++j)
-                v[j] = std::conj(v[j]);
+                v[j] = conjugate(v[j]);
 
             // A' <- H A' H on the trailing block, as the rank-2 update
             // A' - w v^dag - v w^dag with p = tau A' v and
             // w = p - (tau/2)(v^dag p) v.
-            Complex* a = q + (k + 1) * n + (k + 1);
-            Complex vp = 0.0;
+            T* a = q + (k + 1) * n + (k + 1);
+            T vp = 0.0;
             for (int i = 0; i < m; ++i) {
-                Complex acc = 0.0;
+                T acc = 0.0;
                 for (int j = 0; j < m; ++j)
                     acc += a[i * n + j] * v[j];
                 w[i] = tau[k] * acc;
-                vp += std::conj(v[i]) * w[i];
+                vp += conjugate(v[i]) * w[i];
             }
-            const Complex half = 0.5 * tau[k] * vp;
+            const T half = 0.5 * tau[k] * vp;
             for (int i = 0; i < m; ++i)
                 w[i] -= half * v[i];
             for (int i = 0; i < m; ++i) {
-                const Complex wi = w[i];
-                const Complex vi = v[i];
-                Complex* row = a + i * n;
+                const T wi = w[i];
+                const T vi = v[i];
+                T* row = a + i * n;
                 for (int j = 0; j < m; ++j)
-                    row[j] -= wi * std::conj(v[j]) + vi * std::conj(w[j]);
+                    row[j] -= wi * conjugate(v[j]) + vi * conjugate(w[j]);
             }
         }
 
@@ -117,7 +128,7 @@ tridiagonalize(Complex* q, int n, double* d, double* e)
         phase[k + 1] = e[k] > 0.0 ? phase[k] * (alpha / e[k]) : phase[k];
     }
     if (n > 0) {
-        d[n - 1] = q[(n - 1) * n + (n - 1)].real();
+        d[n - 1] = std::real(q[(n - 1) * n + (n - 1)]);
         e[n - 1] = 0.0;
     }
 
@@ -133,21 +144,21 @@ tridiagonalize(Complex* q, int n, double* d, double* e)
         }
         if (j == 0 || tau[j - 1] == 0.0)
             continue;
-        const Complex* v = q + (j - 1) * n + j;
-        Complex* b = q + j * n + j;
+        const T* v = q + (j - 1) * n + j;
+        T* b = q + j * n + j;
         const int m = n - j;
         // B <- B - tau v (v^dag B).
         for (int c = 0; c < m; ++c)
             w[c] = 0.0;
         for (int i = 0; i < m; ++i) {
-            const Complex vi = std::conj(v[i]);
-            const Complex* row = b + i * n;
+            const T vi = conjugate(v[i]);
+            const T* row = b + i * n;
             for (int c = 0; c < m; ++c)
                 w[c] += vi * row[c];
         }
         for (int i = 0; i < m; ++i) {
-            const Complex tv = tau[j - 1] * v[i];
-            Complex* row = b + i * n;
+            const T tv = tau[j - 1] * v[i];
+            T* row = b + i * n;
             for (int c = 0; c < m; ++c)
                 row[c] -= tv * w[c];
         }
@@ -157,11 +168,12 @@ tridiagonalize(Complex* q, int n, double* d, double* e)
 /**
  * Implicit QL with Wilkinson shifts on the real symmetric tridiagonal
  * (d, e) (EISPACK tql2), applying each plane rotation to the columns
- * of the complex q. On return d holds the eigenvalues, ascending, and
- * q's columns the matching eigenvectors.
+ * of q. On return d holds the eigenvalues, ascending, and q's columns
+ * the matching eigenvectors.
  */
+template <typename T>
 void
-tridiagonalQl(Complex* q, int n, double* d, double* e)
+tridiagonalQl(T* q, int n, double* d, double* e)
 {
     const double eps = std::numeric_limits<double>::epsilon();
     double shift = 0.0;
@@ -211,8 +223,8 @@ tridiagonalQl(Complex* q, int n, double* d, double* e)
                 p = c * d[i] - s * g;
                 d[i + 1] = h + s * (c * g + s * d[i]);
                 for (int k = 0; k < n; ++k) {
-                    Complex* row = q + k * n;
-                    const Complex hk = row[i + 1];
+                    T* row = q + k * n;
+                    const T hk = row[i + 1];
                     row[i + 1] = s * row[i] + c * hk;
                     row[i] = c * row[i] - s * hk;
                 }
@@ -241,6 +253,31 @@ tridiagonalQl(Complex* q, int n, double* d, double* e)
     }
 }
 
+/**
+ * Symmetrize a (row-major, n x n) into q, measuring the asymmetry on
+ * the way and panicking with `complaint` past 1e-9, then diagonalize
+ * q in place.
+ */
+template <typename T>
+void
+eigInPlace(const T* a, int n, double* values, T* q, const char* complaint)
+{
+    double asym = 0.0;
+    for (int i = 0; i < n; ++i) {
+        for (int j = 0; j < n; ++j) {
+            const T aij = a[i * n + j];
+            const T aji = conjugate(a[j * n + i]);
+            asym = std::max(asym, std::abs(aij - aji));
+            q[i * n + j] = (aij + aji) * 0.5;
+        }
+    }
+    panicIf(!(asym <= 1e-9), complaint, " (max asym ", asym, ")");
+
+    Scratch<double> e(n);
+    tridiagonalize(q, n, values, e.data());
+    tridiagonalQl(q, n, values, e.data());
+}
+
 } // namespace
 
 EigResult
@@ -252,52 +289,70 @@ eigHermitian(const CMatrix& input)
     EigResult result;
     result.values.resize(n);
     result.vectors = CMatrix(n, n);
-    Complex* q = result.vectors.data();
-
-    // Symmetrize to kill representation-level asymmetry, measuring it
-    // on the way.
-    double asym = 0.0;
-    for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-            const Complex aij = input(i, j);
-            const Complex aji = std::conj(input(j, i));
-            asym = std::max(asym, std::abs(aij - aji));
-            q[i * n + j] = (aij + aji) * 0.5;
-        }
-    }
-    panicIf(!(asym <= 1e-9),
-            "eigHermitian input is not Hermitian (max asym ", asym, ")");
-
-    Scratch<double> e(n);
-    tridiagonalize(q, n, result.values.data(), e.data());
-    tridiagonalQl(q, n, result.values.data(), e.data());
+    eigInPlace(input.data(), n, result.values.data(), result.vectors.data(),
+               "eigHermitian input is not Hermitian");
     return result;
+}
+
+void
+eigSymmetric(const double* a, int n, double* values, double* vectors)
+{
+    eigInPlace(a, n, values, vectors, "eigSymmetric input is not symmetric");
 }
 
 namespace {
 
-/** Max |entry| of the strict off-diagonal of q^T m q. */
-double
-rotatedOffDiagonal(const CMatrix& q, const CMatrix& m)
+/**
+ * r = q^T m q for row-major n x n operands, with t as n x n scratch.
+ * Both products run in the i-k-j order with zero-skipping of the
+ * small-matrix CMatrix multiply, so r matches its real part bit for
+ * bit.
+ */
+void
+rotate(const double* q, const double* m, int n, double* t, double* r)
 {
-    CMatrix r = q.transpose() * m * q;
+    std::fill(t, t + n * n, 0.0);
+    for (int i = 0; i < n; ++i)
+        for (int k = 0; k < n; ++k) {
+            const double qki = q[k * n + i];
+            if (qki == 0.0)
+                continue;
+            for (int j = 0; j < n; ++j)
+                t[i * n + j] += qki * m[k * n + j];
+        }
+    std::fill(r, r + n * n, 0.0);
+    for (int i = 0; i < n; ++i)
+        for (int k = 0; k < n; ++k) {
+            const double tik = t[i * n + k];
+            if (tik == 0.0)
+                continue;
+            for (int j = 0; j < n; ++j)
+                r[i * n + j] += tik * q[k * n + j];
+        }
+}
+
+/** Max |entry| of the strict off-diagonal of the n x n r. */
+double
+offDiagonal(const double* r, int n)
+{
     double worst = 0.0;
-    for (int i = 0; i < r.rows(); ++i)
-        for (int j = 0; j < r.cols(); ++j)
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j < n; ++j)
             if (i != j)
-                worst = std::max(worst, std::abs(r(i, j)));
+                worst = std::max(worst, std::abs(r[i * n + j]));
     return worst;
 }
 
 } // namespace
 
 void
-simultaneousDiagonalize(const CMatrix& p, const CMatrix& s, CMatrix& q,
-                        std::vector<double>& pd, std::vector<double>& sd)
+simultaneousDiagonalize(const double* p, const double* s, int n, double* q,
+                        double* pd, double* sd)
 {
-    const int n = p.rows();
-    panicIf(p.cols() != n || s.rows() != n || s.cols() != n,
-            "simultaneousDiagonalize shape mismatch");
+    // n x n scratch stays on the stack up to 8x8.
+    const int nn = n * n;
+    Scratch<double> c(nn), qr(nn), lam(n), sub(nn), sub_vec(nn),
+        sub_lam(n), rotated(nn), t(nn), r(nn);
 
     // Weights chosen irrational so structured spectra rarely collide;
     // several fallbacks cover adversarial alignments.
@@ -306,80 +361,73 @@ simultaneousDiagonalize(const CMatrix& p, const CMatrix& s, CMatrix& q,
                               0.0, 1.0};
 
     double best_residual = 1e300;
-    CMatrix best_q;
-
     for (double w : weights) {
-        CMatrix c = p + s * Complex{w, 0.0};
-        EigResult eig = eigHermitian(c);
+        for (int i = 0; i < nn; ++i)
+            c[i] = p[i] + s[i] * w;
+        eigSymmetric(c.data(), n, lam.data(), qr.data());
 
-        // Strip any residual phases so q is a real matrix. The
-        // Householder-QL eigenvectors of a real symmetric matrix are
-        // real (every reflector and phase is), but normalize
-        // defensively.
-        CMatrix qr(n, n);
+        // Sign each column so its largest-magnitude entry (the first,
+        // on ties) is positive.
         for (int col = 0; col < n; ++col) {
-            // Find largest-magnitude entry to define the phase.
             int arg_max = 0;
             double mag = 0.0;
             for (int row = 0; row < n; ++row) {
-                if (std::abs(eig.vectors(row, col)) > mag) {
-                    mag = std::abs(eig.vectors(row, col));
+                if (std::abs(qr[row * n + col]) > mag) {
+                    mag = std::abs(qr[row * n + col]);
                     arg_max = row;
                 }
             }
-            Complex phase =
-                eig.vectors(arg_max, col) / std::abs(eig.vectors(arg_max, col));
-            for (int row = 0; row < n; ++row)
-                qr(row, col) = (eig.vectors(row, col) / phase).real();
+            if (qr[arg_max * n + col] < 0.0)
+                for (int row = 0; row < n; ++row)
+                    qr[row * n + col] = -qr[row * n + col];
         }
 
         // Within degenerate clusters of c's spectrum, the eigenbasis is
         // arbitrary; re-diagonalize p restricted to each cluster (s then
         // follows automatically because s = (c - p)/w on that subspace).
-        const double cluster_tol =
-            1e-8 * std::max(1.0, c.frobeniusNorm());
+        double c_norm2 = 0.0;
+        for (int i = 0; i < nn; ++i)
+            c_norm2 += c[i] * c[i];
+        const double cluster_tol = 1e-8 * std::max(1.0, std::sqrt(c_norm2));
         int start = 0;
         while (start < n) {
             int end = start + 1;
-            while (end < n &&
-                   std::abs(eig.values[end] - eig.values[end - 1]) <
-                       cluster_tol) {
+            while (end < n && std::abs(lam[end] - lam[end - 1]) < cluster_tol)
                 ++end;
-            }
             const int k = end - start;
             if (k > 1) {
                 // p restricted to the cluster columns.
-                CMatrix sub(k, k);
                 for (int i = 0; i < k; ++i)
                     for (int j = 0; j < k; ++j) {
-                        Complex acc = 0.0;
-                        for (int r = 0; r < n; ++r)
-                            for (int t = 0; t < n; ++t)
-                                acc += qr(r, start + i) * p(r, t) *
-                                       qr(t, start + j);
-                        sub(i, j) = acc;
+                        double acc = 0.0;
+                        for (int a = 0; a < n; ++a)
+                            for (int b = 0; b < n; ++b)
+                                acc += qr[a * n + start + i] * p[a * n + b] *
+                                       qr[b * n + start + j];
+                        sub[i * k + j] = acc;
                     }
-                EigResult sub_eig = eigHermitian(sub);
-                CMatrix rotated(n, k);
-                for (int r = 0; r < n; ++r)
+                eigSymmetric(sub.data(), k, sub_lam.data(), sub_vec.data());
+                for (int a = 0; a < n; ++a)
                     for (int j = 0; j < k; ++j) {
-                        Complex acc = 0.0;
+                        double acc = 0.0;
                         for (int i = 0; i < k; ++i)
-                            acc += qr(r, start + i) * sub_eig.vectors(i, j);
-                        rotated(r, j) = acc.real();
+                            acc += qr[a * n + start + i] * sub_vec[i * k + j];
+                        rotated[a * k + j] = acc;
                     }
-                for (int r = 0; r < n; ++r)
+                for (int a = 0; a < n; ++a)
                     for (int j = 0; j < k; ++j)
-                        qr(r, start + j) = rotated(r, j);
+                        qr[a * n + start + j] = rotated[a * k + j];
             }
             start = end;
         }
 
-        double residual = std::max(rotatedOffDiagonal(qr, p),
-                                   rotatedOffDiagonal(qr, s));
+        rotate(qr.data(), p, n, t.data(), r.data());
+        double residual = offDiagonal(r.data(), n);
+        rotate(qr.data(), s, n, t.data(), r.data());
+        residual = std::max(residual, offDiagonal(r.data(), n));
         if (residual < best_residual) {
             best_residual = residual;
-            best_q = qr;
+            std::copy(qr.data(), qr.data() + nn, q);
         }
         if (best_residual < 1e-9)
             break;
@@ -388,15 +436,12 @@ simultaneousDiagonalize(const CMatrix& p, const CMatrix& s, CMatrix& q,
     panicIf(best_residual > 1e-6,
             "simultaneousDiagonalize failed; residual ", best_residual);
 
-    q = best_q;
-    CMatrix pr = q.transpose() * p * q;
-    CMatrix sr = q.transpose() * s * q;
-    pd.resize(n);
-    sd.resize(n);
-    for (int i = 0; i < n; ++i) {
-        pd[i] = pr(i, i).real();
-        sd[i] = sr(i, i).real();
-    }
+    rotate(q, p, n, t.data(), r.data());
+    for (int i = 0; i < n; ++i)
+        pd[i] = r[i * n + i];
+    rotate(q, s, n, t.data(), r.data());
+    for (int i = 0; i < n; ++i)
+        sd[i] = r[i * n + i];
 }
 
 } // namespace qpc

@@ -76,16 +76,13 @@ weylCoordinates(const CMatrix& u)
     // diagonal exponents of the canonical gate.
     const CMatrix g = v.transpose() * v;
 
-    CMatrix p(4, 4), s(4, 4);
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            p(i, j) = Complex{g(i, j).real(), 0.0};
-            s(i, j) = Complex{g(i, j).imag(), 0.0};
-        }
+    double p[16], s[16];
+    for (int i = 0; i < 16; ++i) {
+        p[i] = g.data()[i].real();
+        s[i] = g.data()[i].imag();
     }
-    CMatrix q;
-    std::vector<double> pd, sd;
-    simultaneousDiagonalize(p, s, q, pd, sd);
+    double q[16], pd[4], sd[4];
+    simultaneousDiagonalize(p, s, 4, q, pd, sd);
 
     // Eigenphase of g is 2*phi (mod 2pi), so each phi is free mod pi.
     double phi[4];
@@ -97,8 +94,8 @@ weylCoordinates(const CMatrix& u)
     // the exponents inside the image of the canonical parametrization.
     double sum = phi[0] + phi[1] + phi[2] + phi[3];
     int k = static_cast<int>(std::lround(sum / kPi));
-    std::vector<int> order{0, 1, 2, 3};
-    std::sort(order.begin(), order.end(),
+    int order[4] = {0, 1, 2, 3};
+    std::sort(std::begin(order), std::end(order),
               [&](int a, int b) { return phi[a] > phi[b]; });
     for (int i = 0; k > 0; --k, ++i)
         phi[order[i]] -= kPi;

@@ -29,11 +29,11 @@
 
 namespace qpc {
 
-/** One controllable drive line: a Hermitian generator and its bound. */
+/** One controllable drive line: a real symmetric generator and its bound. */
 struct ControlChannel
 {
     std::string name;   ///< e.g. "charge[2]", "coupler[0-1]".
-    CMatrix op;         ///< Hermitian generator in the full space.
+    CMatrix op;         ///< Real symmetric generator in the full space.
     double maxAmp;      ///< Amplitude bound in rad/ns.
 };
 

@@ -95,6 +95,27 @@ TEST(GrapeSmoke, WidthThreeTrajectoryIsPinned)
             << "iteration " << pin.iteration;
 }
 
+TEST(GrapeSmoke, FinalFidelityMatchesEvolveUnitary)
+{
+    // A run capped short of convergence reports the fidelity of its
+    // final fidelity-only pass; the independent Taylor integrator must
+    // agree with it.
+    const DeviceModel device = DeviceModel::gmonClique(2);
+    Rng rng(44);
+    const CMatrix target = haarUnitary(4, rng);
+    GrapeOptions options;
+    options.dt = 0.1;
+    options.maxIterations = 5;
+    const GrapeResult run =
+        runGrapeFixedTime(device, target, 4.0, options);
+    ASSERT_FALSE(run.converged);
+    ASSERT_EQ(run.history.size(), 6u);
+    const double independent =
+        traceFidelity(target, evolveUnitary(device, run.pulse));
+    EXPECT_NEAR(run.fidelity, independent, 1e-10);
+    EXPECT_EQ(run.history.back(), run.fidelity);
+}
+
 TEST(GrapeSmoke, PulseLibraryHadamardIsExact)
 {
     DeviceModel device = DeviceModel::gmonLine(1);

@@ -6,6 +6,7 @@
 #include "linalg/expm.h"
 #include "linalg/random_unitary.h"
 #include "linalg/su2.h"
+#include "pulse/evolve.h"
 #include "testutil.h"
 
 namespace {
@@ -66,6 +67,45 @@ TEST_P(EigSweep, ReconstructsRandomHermitian)
         const CMatrix u = haarUnitary(dim, rng);
         const CMatrix h = u + u.dagger();   // Hermitian
         expectValidEig(h, eigHermitian(h));
+    }
+}
+
+/** eigSymmetric's caller-storage output as an EigResult. */
+EigResult
+eigSymmetricResult(const CMatrix& a)
+{
+    const int n = a.rows();
+    std::vector<double> in(static_cast<size_t>(n) * n);
+    for (int i = 0; i < n * n; ++i)
+        in[i] = a.data()[i].real();
+    EigResult out;
+    out.values.resize(n);
+    std::vector<double> vectors(static_cast<size_t>(n) * n);
+    eigSymmetric(in.data(), n, out.values.data(), vectors.data());
+    out.vectors = CMatrix(n, n);
+    for (int i = 0; i < n * n; ++i)
+        out.vectors.data()[i] = vectors[i];
+    return out;
+}
+
+/** A random real symmetric n x n matrix, entries uniform in [-1, 1]. */
+CMatrix
+randomSymmetric(int n, Rng& rng)
+{
+    CMatrix a(n, n);
+    for (int i = 0; i < n; ++i)
+        for (int j = 0; j <= i; ++j)
+            a(i, j) = a(j, i) = rng.uniform(-1.0, 1.0);
+    return a;
+}
+
+TEST_P(EigSweep, ReconstructsRandomSymmetric)
+{
+    const int dim = GetParam();
+    Rng rng(200 + dim);
+    for (int trial = 0; trial < 5; ++trial) {
+        const CMatrix a = randomSymmetric(dim, rng);
+        expectValidEig(a, eigSymmetricResult(a));
     }
 }
 
@@ -137,6 +177,53 @@ TEST(Eig, RealSymmetricGivesRealEigenvectors)
                 EXPECT_LE(std::abs(eig.vectors(r, c).imag()), 1e-12)
                     << "n " << n;
     }
+}
+
+/** The real and complex instantiations agree exactly on real input. */
+void
+expectBitIdentical(const CMatrix& a)
+{
+    const EigResult complex_eig = eigHermitian(a);
+    const EigResult real_eig = eigSymmetricResult(a);
+    const int n = a.rows();
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(real_eig.values[i], complex_eig.values[i])
+            << "n " << n << " value " << i;
+    for (int i = 0; i < n * n; ++i) {
+        EXPECT_EQ(real_eig.vectors.data()[i].real(),
+                  complex_eig.vectors.data()[i].real())
+            << "n " << n << " entry " << i;
+        EXPECT_EQ(complex_eig.vectors.data()[i].imag(), 0.0)
+            << "n " << n << " entry " << i;
+    }
+}
+
+TEST(Eig, SymmetricMatchesHermitianBitForBit)
+{
+    // GRAPE's slice Hamiltonians at random amplitudes within each
+    // control's bound, for the block widths the compiler produces.
+    Rng rng(17);
+    for (int width = 1; width <= 3; ++width) {
+        const DeviceModel device = DeviceModel::gmonClique(width);
+        std::vector<double> amps(device.numControls());
+        for (int trial = 0; trial < 20; ++trial) {
+            for (int c = 0; c < device.numControls(); ++c) {
+                const double bound = device.controls()[c].maxAmp;
+                amps[c] = rng.uniform(-bound, bound);
+            }
+            expectBitIdentical(sliceHamiltonian(device, amps));
+        }
+    }
+    for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+                  27, 64})
+        expectBitIdentical(randomSymmetric(n, rng));
+}
+
+TEST(Eig, SymmetricRejectsAsymmetricInput)
+{
+    const double a[4] = {1.0, 0.5, 0.5 + 1e-6, 2.0};
+    double values[2], vectors[4];
+    EXPECT_DEATH(eigSymmetric(a, 2, values, vectors), "not symmetric");
 }
 
 TEST(Eig, DegenerateSpectrum)
@@ -223,12 +310,22 @@ TEST(SimultaneousDiag, CommutingPair)
     const CMatrix p = q * dp * q.transpose();
     const CMatrix s = q * ds * q.transpose();
 
-    CMatrix shared;
-    std::vector<double> pd, sd;
-    simultaneousDiagonalize(p, s, shared, pd, sd);
+    double pr[16], sr[16];
+    for (int i = 0; i < 16; ++i) {
+        pr[i] = p.data()[i].real();
+        sr[i] = s.data()[i].real();
+    }
+    double qs[16], pd[4], sd[4];
+    simultaneousDiagonalize(pr, sr, 4, qs, pd, sd);
+    CMatrix shared(4, 4);
+    for (int i = 0; i < 16; ++i)
+        shared.data()[i] = qs[i];
+    EXPECT_TRUE(shared.isUnitary(1e-10));
     const CMatrix rp = shared.transpose() * p * shared;
     const CMatrix rs = shared.transpose() * s * shared;
     for (int i = 0; i < 4; ++i) {
+        EXPECT_NEAR(rp(i, i).real(), pd[i], 1e-12);
+        EXPECT_NEAR(rs(i, i).real(), sd[i], 1e-12);
         for (int j = 0; j < 4; ++j) {
             if (i == j)
                 continue;
