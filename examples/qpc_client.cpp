@@ -9,14 +9,15 @@
  *
  * Connects, identifies the tenant, uploads a QAOA MAXCUT template,
  * bulk-prewarms it, then serves a stream of parameter bindings — the
- * client half of the CI smoke test. --stats renders the server's
- * health frame as tables afterwards; --metrics prints the server's
- * Prometheus exposition plus a latency-percentile table; --shutdown
- * asks the daemon to exit.
+ * client half of the CI smoke test. Afterwards --stats renders the
+ * server's counters (fetched with a Metrics frame) as tables;
+ * --metrics prints the server's Prometheus exposition plus a
+ * latency-percentile table; --shutdown asks the daemon to exit.
  */
 
 #include <chrono>
 #include <cstdio>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -46,7 +47,8 @@ main(int argc, char** argv)
     cli.addFlag("pulses", "download the served pulse segments too");
     cli.addFlag("skip-prewarm",
                 "serve cold (first bindings synthesize on demand)");
-    cli.addFlag("stats", "print the server stats frame afterwards");
+    cli.addFlag("stats", "print the server's counters as tables "
+                         "afterwards");
     cli.addFlag("metrics", "print the server's Prometheus exposition "
                            "and latency percentiles");
     cli.addFlag("shutdown", "ask the server to shut down when done");
@@ -180,22 +182,40 @@ main(int argc, char** argv)
         return std::to_string(v);
     };
 
-    if (cli.getFlag("stats")) {
-        const auto stats = client.stats();
-        if (!stats) {
-            std::fprintf(stderr, "qpc-client: Stats failed: %s\n",
+    std::optional<MetricsSnapshot> metrics;
+    if (cli.getFlag("stats") || cli.getFlag("metrics")) {
+        metrics = client.metrics();
+        if (!metrics) {
+            std::fprintf(stderr, "qpc-client: Metrics failed: %s\n",
                          client.lastError().c_str());
             return 1;
         }
+    }
+
+    if (cli.getFlag("stats")) {
+        const auto count = [&](const std::string& name) {
+            const std::uint64_t* value = metrics->counter(name);
+            return value ? *value : 0;
+        };
+        const auto cell = [&](const std::string& name) {
+            return u64cell(count(name));
+        };
+        const auto level = [&](const std::string& name) {
+            const double* value = metrics->gauge(name);
+            return value ? *value : 0.0;
+        };
         TextTable server_table("server");
         server_table.addRow({"requests", "cacheHits", "coalesced",
                              "synthRuns", "rejected", "cacheEntries",
                              "cacheMiB"});
         server_table.addRow(
-            {u64cell(stats->requests), u64cell(stats->cacheHits),
-             u64cell(stats->coalesced), u64cell(stats->synthRuns),
-             u64cell(stats->rejected), u64cell(stats->cacheEntries),
-             fmtDouble(static_cast<double>(stats->cacheBytesInUse) /
+            {cell("qpc_service_requests_total"),
+             cell("qpc_service_cache_hits_total"),
+             cell("qpc_service_coalesced_total"),
+             cell("qpc_service_synth_runs_total"),
+             cell("qpc_service_rejected_total"),
+             fmtDouble(level("qpc_cache_entries"), 0),
+             fmtDouble(level("qpc_cache_bytes_in_use") /
                            (1024.0 * 1024.0),
                        2)});
         server_table.print();
@@ -204,32 +224,38 @@ main(int argc, char** argv)
         edge_table.addRow({"protocolErrors", "acceptFailures",
                            "busyRejections", "sessionsReapedIdle",
                            "bulkYields"});
-        edge_table.addRow({u64cell(stats->protocolErrors),
-                           u64cell(stats->acceptFailures),
-                           u64cell(stats->busyRejections),
-                           u64cell(stats->sessionsReapedIdle),
-                           u64cell(stats->bulkYields)});
+        edge_table.addRow({cell("qpc_server_protocol_errors_total"),
+                           cell("qpc_server_accept_failures_total"),
+                           cell("qpc_server_busy_rejections_total"),
+                           cell("qpc_server_sessions_reaped_idle_total"),
+                           cell("qpc_server_bulk_yields_total")});
         edge_table.print();
 
+        // One row per tenant: every tenant has a plans gauge, and its
+        // label block keys the tenant's other families.
+        const std::string plans_family = "qpc_tenant_plans";
+        const std::string tenant_key = "{tenant=\"";
         TextTable tenant_table("tenants");
         tenant_table.addRow({"tenant", "plans", "serves", "hitRate",
                              "servedKiB", "quotaRejections"});
-        for (const WireTenantStats& t : stats->tenants)
+        for (const auto& g : metrics->gauges) {
+            if (g.name.rfind(plans_family + tenant_key, 0) != 0)
+                continue;
+            const std::string labels = g.name.substr(plans_family.size());
             tenant_table.addRow(
-                {t.tenant, u64cell(t.plans), u64cell(t.serves),
-                 fmtDouble(t.hitRate(), 2),
-                 u64cell(t.servedBytes >> 10),
-                 u64cell(t.quotaRejections)});
+                {labels.substr(tenant_key.size(),
+                               labels.size() - tenant_key.size() - 2),
+                 fmtDouble(g.value, 0),
+                 cell("qpc_tenant_serves_total" + labels),
+                 fmtDouble(level("qpc_tenant_hit_rate" + labels), 2),
+                 u64cell(count("qpc_tenant_served_bytes_total" + labels) >>
+                         10),
+                 cell("qpc_tenant_quota_rejections_total" + labels)});
+        }
         tenant_table.print();
     }
 
     if (cli.getFlag("metrics")) {
-        const auto metrics = client.metrics();
-        if (!metrics) {
-            std::fprintf(stderr, "qpc-client: Metrics failed: %s\n",
-                         client.lastError().c_str());
-            return 1;
-        }
         // The exposition first (scrape-able as-is), then the latency
         // distributions digested to percentiles for human eyes.
         std::fputs(renderPrometheus(*metrics).c_str(), stdout);

@@ -3,7 +3,7 @@
  * qpc-serverd: the multi-tenant compile server daemon.
  *
  * Binds a unix-domain socket (and optionally loopback TCP), then
- * serves Hello/PrepareServing/Prewarm/Serve/Stats/Shutdown frames
+ * serves Hello/PrepareServing/Prewarm/Serve/Metrics/Shutdown frames
  * until a Shutdown frame, SIGTERM, or SIGINT arrives — at which point
  * it drains every session and exits 0.
  *
@@ -246,12 +246,15 @@ main(int argc, char** argv)
     if (!trace_out.empty())
         dumpTraceJson(trace_out); // warns on failure itself
 
-    const WireServerStats stats = server.statsSnapshot();
+    const MetricsSnapshot metrics = server.metricsSnapshot();
+    const auto count = [&](const char* name) {
+        const std::uint64_t* value = metrics.counter(name);
+        return static_cast<unsigned long long>(value ? *value : 0);
+    };
     std::printf("qpc-serverd: served %llu connections, "
                 "%llu requests, %llu cache hits; clean shutdown\n",
-                static_cast<unsigned long long>(
-                    stats.connectionsAccepted),
-                static_cast<unsigned long long>(stats.requests),
-                static_cast<unsigned long long>(stats.cacheHits));
+                count("qpc_server_connections_accepted_total"),
+                count("qpc_service_requests_total"),
+                count("qpc_service_cache_hits_total"));
     return 0;
 }

@@ -197,49 +197,6 @@ AdaptiveAngleGrid::split(const Leaf& leaf)
     return children;
 }
 
-QuantizedBlock
-quantizeBlock(const Circuit& symbolic, const std::vector<double>& theta,
-              const ParamQuantization& quantization)
-{
-    fatalIf(quantization.bins <= 0,
-            "quantization grid needs a positive bin count");
-
-    QuantizedBlock out;
-    Circuit snapped(symbolic.numQubits());
-    for (const GateOp& op : symbolic.ops()) {
-        GateOp bound = op;
-        if (gateIsRotation(op.kind)) {
-            const double angle = op.angle.bind(theta);
-            if (op.angle.isSymbolic()) {
-                // Per-gate budget, identical to serve() and
-                // snapSymbolicRotations(): a rotation whose snap fits
-                // is quantized, one that would overdraw stays exact
-                // (bin -1) — the budget never gates on the block sum.
-                const double bound_here = quantizationErrorBound(
-                    snapDelta(angle, quantization.bins));
-                if (bound_here <= quantization.fidelityBudget) {
-                    const std::int64_t bin =
-                        angleBin(angle, quantization.bins);
-                    bound.angle = ParamExpr::constant(
-                        binAngle(bin, quantization.bins));
-                    out.bins.push_back(bin);
-                    out.errorBound += bound_here;
-                } else {
-                    bound.angle = ParamExpr::constant(angle);
-                    out.bins.push_back(-1);
-                    out.withinBudget = false;
-                }
-            } else {
-                bound.angle = ParamExpr::constant(angle);
-            }
-        }
-        snapped.add(bound);
-    }
-    out.fingerprint = fingerprintBlock(snapped);
-    out.snapped = std::move(snapped);
-    return out;
-}
-
 Circuit
 snapSymbolicRotations(const Circuit& symbolic,
                       const std::vector<double>& theta,

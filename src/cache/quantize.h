@@ -19,9 +19,9 @@
  *  - the substitution error is *bounded before serving*: a rotation
  *    exp(-i theta P / 2) snapped by delta differs from the exact
  *    unitary by operator norm 2*sin(|delta|/4) <= |delta|/2 (up to
- *    global phase), and per-rotation bounds add across a block. When
- *    the block's total bound exceeds the caller's fidelity budget, the
- *    serve path falls back to exact synthesis instead.
+ *    global phase), and per-rotation bounds add across a block. A
+ *    rotation whose own bound exceeds the caller's per-gate fidelity
+ *    budget is served by exact synthesis instead.
  */
 
 #ifndef QPC_CACHE_QUANTIZE_H
@@ -32,7 +32,6 @@
 #include <utility>
 #include <vector>
 
-#include "cache/fingerprint.h"
 #include "ir/circuit.h"
 
 namespace qpc {
@@ -49,8 +48,8 @@ struct ParamQuantization
      * snapping one rotation (phase-invariant; see
      * quantizationErrorBound). A rotation whose snap would overdraw
      * this is served/simulated at its exact bound angle instead —
-     * the same semantic everywhere: CompileService::serve(),
-     * snapSymbolicRotations(), and quantizeBlock(). The default
+     * the same semantic in CompileService::serve() and
+     * snapSymbolicRotations(). The default
      * comfortably admits the default grid: one rotation snaps by at
      * most step/4 ~ 1.5e-3.
      */
@@ -235,58 +234,16 @@ double wrappedAngleDelta(double theta, double representative);
  */
 double quantizationErrorBound(double delta);
 
-/** One block's angles snapped onto the grid, ready to serve. */
-struct QuantizedBlock
-{
-    /** Content address of the snapped block (shared by its whole bin). */
-    BlockFingerprint fingerprint;
-    /** The bound block with every budget-admitted symbolic rotation
-     * snapped (over-budget rotations keep their exact bound angle). */
-    Circuit snapped;
-    /** Summed advertised error bound of the snaps actually applied. */
-    double errorBound = 0.0;
-    /** Bin index per symbolic rotation, program order; -1 marks a
-     * rotation kept exact because its per-gate snap would overdraw
-     * the budget. */
-    std::vector<std::int64_t> bins;
-    /** Every symbolic rotation fit the per-gate budget (no -1 bins):
-     * the whole block is on the grid. NOTE: the budget is per *gate*
-     * — matching serve() and snapSymbolicRotations(), which check and
-     * fall back one rotation at a time — so a fully-snapped
-     * multi-rotation block's summed errorBound may legitimately
-     * exceed fidelityBudget. (It used to be per-block here, declaring
-     * blocks over-budget that the serve path happily snapped
-     * gate-by-gate.) */
-    bool withinBudget = true;
-};
-
 /**
- * Bind a symbolic block against theta, snapping every parametrized
- * rotation that fits the *per-gate* budget onto the grid (rotations
- * past it keep their exact bound angle). Constant angles (and
- * non-rotation gates) pass through exactly — only the per-iteration
- * degrees of freedom are quantized. The fingerprint addresses the
- * snapped block, so every binding inside one bin resolves to the same
- * cache entry.
- *
- * This is the reference form of the quantized keying;
- * CompileService::serve() inlines the same bind -> bin -> budget ->
- * bound sequence against per-axis fingerprint tables precomputed at
- * prepareServing() time (re-deriving a unitary fingerprint per
- * iteration would cost more than the lookup it replaces), and
- * snapSymbolicRotations() below is the full-circuit mirror. All
- * three share the per-gate budget semantic — keep them in lockstep.
- */
-QuantizedBlock quantizeBlock(const Circuit& symbolic,
-                             const std::vector<double>& theta,
-                             const ParamQuantization& quantization);
-
-/**
- * Full-circuit counterpart for simulation: bind a symbolic template,
- * snapping each parametrized rotation that fits the *per-gate* budget
- * and keeping the exact bound angle otherwise — exactly the circuit
- * the quantized serve path's pulses realize, so drivers that simulate
- * "hardware" evaluate the same physics the cache serves.
+ * Bind a symbolic template, snapping each parametrized rotation that
+ * fits the *per-gate* budget and keeping the exact bound angle
+ * otherwise; constant angles (and non-rotation gates) pass through
+ * exactly. This is the circuit the quantized serve path's pulses
+ * realize, so drivers that simulate "hardware" evaluate the same
+ * physics the cache serves. CompileService::serve() applies the same
+ * bind -> bin -> per-gate budget sequence against per-axis
+ * fingerprint tables precomputed at prepareServing() time; the two
+ * must agree on the budget semantic.
  */
 Circuit snapSymbolicRotations(const Circuit& symbolic,
                               const std::vector<double>& theta,

@@ -502,28 +502,6 @@ CompileClient::serve(std::uint64_t plan_id,
     return out;
 }
 
-std::optional<WireServerStats>
-CompileClient::stats()
-{
-    const auto build = [] {
-        WireWriter w = beginMessage(MsgType::Stats);
-        return w.take();
-    };
-    std::optional<std::vector<std::uint8_t>> reply =
-        request(MsgType::StatsOk, build);
-    if (!reply)
-        return std::nullopt;
-    WireReader r(*reply);
-    r.u8();
-    r.u8();
-    std::optional<WireServerStats> stats = decodeServerStats(r);
-    if (!stats || !r.done()) {
-        fail(WireError::Internal, "malformed StatsOk");
-        return std::nullopt;
-    }
-    return stats;
-}
-
 std::optional<MetricsSnapshot>
 CompileClient::metrics()
 {

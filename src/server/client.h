@@ -167,9 +167,6 @@ class CompileClient
                                     const std::vector<double>& theta,
                                     bool want_pulses = false);
 
-    /** Snapshot the server's health/stats frame. */
-    std::optional<WireServerStats> stats();
-
     /** Snapshot the server's metric registry (counters, gauges, and
      * latency histograms) — render with renderPrometheus(). */
     std::optional<MetricsSnapshot> metrics();

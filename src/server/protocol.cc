@@ -299,7 +299,6 @@ peekMessage(const std::vector<std::uint8_t>& payload)
     case MsgType::PrepareServing:
     case MsgType::Prewarm:
     case MsgType::Serve:
-    case MsgType::Stats:
     case MsgType::Shutdown:
     case MsgType::Metrics:
     case MsgType::BumpEpoch:
@@ -307,7 +306,6 @@ peekMessage(const std::vector<std::uint8_t>& payload)
     case MsgType::PrepareOk:
     case MsgType::PrewarmOk:
     case MsgType::ServeOk:
-    case MsgType::StatsOk:
     case MsgType::ShutdownOk:
     case MsgType::MetricsOk:
     case MsgType::BumpEpochOk:
@@ -492,95 +490,6 @@ decodeCircuit(const std::vector<std::uint8_t>& bytes)
     if (!circuit || !r.done())
         return std::nullopt;
     return circuit;
-}
-
-void
-encodeServerStats(WireWriter& w, const WireServerStats& stats)
-{
-    w.u64(stats.connectionsAccepted);
-    w.u64(stats.connectionsActive);
-    w.u64(stats.protocolErrors);
-    w.u64(stats.bulkYields);
-    w.u64(stats.acceptFailures);
-    w.u64(stats.busyRejections);
-    w.u64(stats.sessionsReapedIdle);
-    w.u64(stats.requests);
-    w.u64(stats.cacheHits);
-    w.u64(stats.coalesced);
-    w.u64(stats.synthRuns);
-    w.u64(stats.rejected);
-    w.u64(stats.exactServes);
-    w.u64(stats.quantHits);
-    w.u64(stats.quantMisses);
-    w.u64(stats.quantFallbacks);
-    w.u64(stats.cacheLookups);
-    w.u64(stats.cacheMemHits);
-    w.u64(stats.cacheDiskHits);
-    w.u64(stats.cacheMisses);
-    w.u64(stats.cacheEntries);
-    w.u64(stats.cacheBytesInUse);
-    w.u32(static_cast<std::uint32_t>(stats.tenants.size()));
-    for (const WireTenantStats& tenant : stats.tenants) {
-        w.str(tenant.tenant);
-        w.u64(tenant.plans);
-        w.u64(tenant.serves);
-        w.u64(tenant.prewarms);
-        w.u64(tenant.serveHits);
-        w.u64(tenant.serveMisses);
-        w.u64(tenant.servedBytes);
-        w.u64(tenant.quotaRejections);
-    }
-}
-
-std::optional<WireServerStats>
-decodeServerStats(WireReader& r)
-{
-    WireServerStats stats;
-    stats.connectionsAccepted = r.u64();
-    stats.connectionsActive = r.u64();
-    stats.protocolErrors = r.u64();
-    stats.bulkYields = r.u64();
-    stats.acceptFailures = r.u64();
-    stats.busyRejections = r.u64();
-    stats.sessionsReapedIdle = r.u64();
-    stats.requests = r.u64();
-    stats.cacheHits = r.u64();
-    stats.coalesced = r.u64();
-    stats.synthRuns = r.u64();
-    stats.rejected = r.u64();
-    stats.exactServes = r.u64();
-    stats.quantHits = r.u64();
-    stats.quantMisses = r.u64();
-    stats.quantFallbacks = r.u64();
-    stats.cacheLookups = r.u64();
-    stats.cacheMemHits = r.u64();
-    stats.cacheDiskHits = r.u64();
-    stats.cacheMisses = r.u64();
-    stats.cacheEntries = r.u64();
-    stats.cacheBytesInUse = r.u64();
-    const std::uint32_t tenants = r.u32();
-    // A tenant count is bounded by what fits in one frame anyway;
-    // reject a lying prefix before the loop allocates against it.
-    if (!r.ok() || tenants > (1u << 16))
-        return std::nullopt;
-    stats.tenants.reserve(tenants);
-    for (std::uint32_t i = 0; i < tenants; ++i) {
-        WireTenantStats tenant;
-        tenant.tenant = r.str();
-        tenant.plans = r.u64();
-        tenant.serves = r.u64();
-        tenant.prewarms = r.u64();
-        tenant.serveHits = r.u64();
-        tenant.serveMisses = r.u64();
-        tenant.servedBytes = r.u64();
-        tenant.quotaRejections = r.u64();
-        if (!r.ok())
-            return std::nullopt;
-        stats.tenants.push_back(std::move(tenant));
-    }
-    if (!r.ok())
-        return std::nullopt;
-    return stats;
 }
 
 void

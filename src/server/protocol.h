@@ -18,7 +18,6 @@
  *   PrepareServing  circuit ("QCIR" record, below)
  *   Prewarm         u64 planId
  *   Serve           u64 planId, u8 wantPulses, u32 n, f64 theta[n]
- *   Stats           (empty)
  *   Shutdown        (empty)
  *   Metrics         (empty)
  *   BumpEpoch       u64 modelHash (0 = keep the current device-model
@@ -42,7 +41,6 @@
  *               then when wantPulses: numSegments x (u32 len,
  *               u8[len] "QPLS" pulse record)
  *   BumpEpochOk u64 newCounter, u64 modelHash, u32 plansRekeyed
- *   StatsOk     ServerStatsSnapshot (see decodeStats)
  *   ShutdownOk  (empty)
  *   MetricsOk   MetricsSnapshot (see decodeMetrics): counters,
  *               gauges, and WireHistogram-encoded latency
@@ -80,8 +78,10 @@ namespace qpc {
 
 /** Protocol version spoken by this build (frames carry it). Version 2
  * added calibration epochs: HelloOk/ServeOk epoch fields and the
- * BumpEpoch admin request. */
-inline constexpr std::uint8_t kServerProtocolVersion = 2;
+ * BumpEpoch admin request. Version 3 removed the Stats request and
+ * its reply (type bytes 5 and 69): every server counter travels in
+ * MetricsOk. */
+inline constexpr std::uint8_t kServerProtocolVersion = 3;
 
 /** Circuit record format version inside PrepareServing bodies. */
 inline constexpr std::uint32_t kCircuitFormatVersion = 1;
@@ -94,13 +94,14 @@ inline constexpr std::uint32_t kCircuitFormatVersion = 1;
  */
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
-/** Every message type on the wire. Requests < 64, replies >= 64. */
+/** Every message type on the wire. Requests < 64, replies >= 64.
+ * 5 and 69 (the Stats request and reply until version 2) stay
+ * unassigned. */
 enum class MsgType : std::uint8_t {
     Hello = 1,
     PrepareServing = 2,
     Prewarm = 3,
     Serve = 4,
-    Stats = 5,
     Shutdown = 6,
     Metrics = 7,
     BumpEpoch = 8,
@@ -109,7 +110,6 @@ enum class MsgType : std::uint8_t {
     PrepareOk = 66,
     PrewarmOk = 67,
     ServeOk = 68,
-    StatsOk = 69,
     ShutdownOk = 70,
     MetricsOk = 71,
     BumpEpochOk = 72,
@@ -267,77 +267,6 @@ std::optional<Circuit> decodeCircuit(WireReader& r);
 std::vector<std::uint8_t> encodeCircuit(const Circuit& circuit);
 std::optional<Circuit>
 decodeCircuit(const std::vector<std::uint8_t>& bytes);
-/** @} */
-
-/** @name StatsOk body: a server health/observability snapshot
- *  @{ */
-
-/** One tenant's counters inside a StatsOk reply. */
-struct WireTenantStats
-{
-    std::string tenant;
-    std::uint64_t plans = 0;      ///< Serving plans currently held.
-    std::uint64_t serves = 0;     ///< Serve requests completed.
-    std::uint64_t prewarms = 0;   ///< Prewarm requests completed.
-    std::uint64_t serveHits = 0;  ///< Served segments found warm.
-    std::uint64_t serveMisses = 0; ///< Segments synthesized on serve.
-    std::uint64_t servedBytes = 0; ///< Serialized pulse bytes served.
-    std::uint64_t quotaRejections = 0; ///< Requests shed by quota.
-
-    /** Warm fraction of this tenant's served segments. */
-    double
-    hitRate() const
-    {
-        const std::uint64_t total = serveHits + serveMisses;
-        return total ? static_cast<double>(serveHits) / total : 0.0;
-    }
-};
-
-/** The whole StatsOk body: server, shared service/cache, per tenant. */
-struct WireServerStats
-{
-    /** @name Server-level counters
-     *  @{ */
-    std::uint64_t connectionsAccepted = 0;
-    std::uint64_t connectionsActive = 0;
-    std::uint64_t protocolErrors = 0; ///< Malformed frames/bodies seen.
-    std::uint64_t bulkYields = 0; ///< Prewarms that waited for serves.
-    std::uint64_t acceptFailures = 0; ///< accept(2) errors (EMFILE...).
-    std::uint64_t busyRejections = 0; ///< Connections shed at capacity.
-    std::uint64_t sessionsReapedIdle = 0; ///< Idle-timeout reaps.
-    /** @} */
-
-    /** @name Shared CompileService counters (ServiceStats mirror)
-     *  @{ */
-    std::uint64_t requests = 0;
-    std::uint64_t cacheHits = 0;
-    std::uint64_t coalesced = 0;
-    std::uint64_t synthRuns = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t exactServes = 0;
-    std::uint64_t quantHits = 0;
-    std::uint64_t quantMisses = 0;
-    std::uint64_t quantFallbacks = 0;
-    /** @} */
-
-    /** @name Shared PulseCache counters (CacheStats mirror)
-     *  @{ */
-    std::uint64_t cacheLookups = 0;
-    std::uint64_t cacheMemHits = 0;
-    std::uint64_t cacheDiskHits = 0;
-    std::uint64_t cacheMisses = 0;
-    std::uint64_t cacheEntries = 0;
-    std::uint64_t cacheBytesInUse = 0;
-    /** @} */
-
-    std::vector<WireTenantStats> tenants;
-};
-
-/** Append a stats snapshot to a StatsOk body under construction. */
-void encodeServerStats(WireWriter& w, const WireServerStats& stats);
-
-/** Decode a StatsOk body; nullopt on malformed bytes. */
-std::optional<WireServerStats> decodeServerStats(WireReader& r);
 /** @} */
 
 /** @name MetricsOk body: the server's metric registry on the wire

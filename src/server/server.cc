@@ -46,6 +46,13 @@ closeIfOpen(int& fd)
     }
 }
 
+/** The label block on every metric of one tenant. */
+std::string
+tenantLabels(const std::string& tenant)
+{
+    return "{tenant=\"" + promLabelEscape(tenant) + "\"}";
+}
+
 } // namespace
 
 void
@@ -98,7 +105,18 @@ PriorityGate::pendingServes() const
 }
 
 CompileServer::CompileServer(CompileServerOptions options)
-    : options_(std::move(options)), service_(options_.service)
+    : options_(std::move(options)), service_(options_.service),
+      connectionsAccepted_(
+          registry_.counter("qpc_server_connections_accepted_total")),
+      protocolErrors_(
+          registry_.counter("qpc_server_protocol_errors_total")),
+      acceptFailures_(
+          registry_.counter("qpc_server_accept_failures_total")),
+      busyRejections_(
+          registry_.counter("qpc_server_busy_rejections_total")),
+      sessionsReapedIdle_(
+          registry_.counter("qpc_server_sessions_reaped_idle_total")),
+      epochBumps_(registry_.counter("qpc_epoch_bumps_total"))
 {
     fatalIf(options_.socketPath.empty() && options_.tcpPort == 0,
             "compile server needs a unix socket path or a TCP port");
@@ -109,7 +127,6 @@ CompileServer::CompileServer(CompileServerOptions options)
         {MsgType::PrepareServing, "PrepareServing"},
         {MsgType::Prewarm, "Prewarm"},
         {MsgType::Serve, "Serve"},
-        {MsgType::Stats, "Stats"},
         {MsgType::Shutdown, "Shutdown"},
         {MsgType::Metrics, "Metrics"},
         {MsgType::BumpEpoch, "BumpEpoch"},
@@ -344,7 +361,7 @@ CompileServer::acceptLoop()
                 // Persistent failure (EMFILE/ENFILE...): the listener
                 // stays readable, so without a backoff this loop
                 // busy-polls at 100% CPU until fds free up.
-                acceptFailures_.fetch_add(1, std::memory_order_relaxed);
+                acceptFailures_.inc();
                 const Clock::time_point now = Clock::now();
                 if (now - last_warn >= std::chrono::seconds(1)) {
                     last_warn = now;
@@ -369,8 +386,7 @@ CompileServer::acceptLoop()
             backoff_ms = 0;
             if (fds[i].fd == tcpFd_)
                 setTcpNoDelay(fd);
-            connectionsAccepted_.fetch_add(1,
-                                           std::memory_order_relaxed);
+            connectionsAccepted_.inc();
             connectionsActive_.fetch_add(1, std::memory_order_relaxed);
             std::lock_guard<std::mutex> lock(registryMu_);
             // Reap before growing: a long-lived daemon must not hold
@@ -404,7 +420,7 @@ CompileServer::acceptLoop()
 void
 CompileServer::shedConnection(int fd)
 {
-    busyRejections_.fetch_add(1, std::memory_order_relaxed);
+    busyRejections_.inc();
     WireWriter w = beginMessage(MsgType::Error);
     w.u32(static_cast<std::uint32_t>(WireError::Busy));
     w.str("server at session capacity");
@@ -436,8 +452,7 @@ CompileServer::sessionLoop(Session* session)
         // hold this thread + fd forever.
         if (!payload) {
             if (why == FrameError::Timeout)
-                sessionsReapedIdle_.fetch_add(
-                    1, std::memory_order_relaxed);
+                sessionsReapedIdle_.inc();
             break;
         }
         if (!handleFrame(*session, tenant, *payload))
@@ -460,9 +475,18 @@ CompileServer::internTenant(const std::string& name)
     auto tenant = std::make_shared<Tenant>();
     tenant->name = name;
     tenant->id = nextTenantId_++;
-    tenant->serveNs = &registry_.histogram(
-        "qpc_tenant_serve_us{tenant=\"" + promLabelEscape(name) +
-        "\"}");
+    const std::string labels = tenantLabels(name);
+    const auto counter = [&](const char* base) {
+        return &registry_.counter(base + labels);
+    };
+    tenant->serves = counter("qpc_tenant_serves_total");
+    tenant->prewarms = counter("qpc_tenant_prewarms_total");
+    tenant->serveHits = counter("qpc_tenant_serve_hits_total");
+    tenant->serveMisses = counter("qpc_tenant_serve_misses_total");
+    tenant->servedBytes = counter("qpc_tenant_served_bytes_total");
+    tenant->quotaRejections =
+        counter("qpc_tenant_quota_rejections_total");
+    tenant->serveNs = &registry_.histogram("qpc_tenant_serve_us" + labels);
     tenants_.emplace(name, tenant);
     return tenant;
 }
@@ -493,7 +517,7 @@ CompileServer::handleFrame(Session& session,
     if (!type) {
         // Unknown version or type: this peer speaks something else;
         // error and hang up rather than guess at its framing.
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         sendError(session.fd, WireError::BadRequest,
                   "unknown protocol version or message type");
         return false;
@@ -523,7 +547,7 @@ CompileServer::handleRequest(Session& session,
     // A malformed *body* inside a well-framed payload: report and keep
     // the connection (framing is still in sync).
     const auto badBody = [&](const std::string& what) {
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         return sendError(session.fd, WireError::BadRequest, what);
     };
 
@@ -554,8 +578,7 @@ CompileServer::handleRequest(Session& session,
         {
             std::lock_guard<std::mutex> lock(tenant->mu);
             if (tenant->plans.size() >= options_.quota.maxPlans) {
-                tenant->quotaRejections.fetch_add(
-                    1, std::memory_order_relaxed);
+                tenant->quotaRejections->inc();
                 return sendError(session.fd, WireError::QuotaExceeded,
                                  "tenant plan quota exhausted");
             }
@@ -578,8 +601,7 @@ CompileServer::handleRequest(Session& session,
         {
             std::lock_guard<std::mutex> lock(tenant->mu);
             if (tenant->plans.size() >= options_.quota.maxPlans) {
-                tenant->quotaRejections.fetch_add(
-                    1, std::memory_order_relaxed);
+                tenant->quotaRejections->inc();
                 return sendError(session.fd, WireError::QuotaExceeded,
                                  "tenant plan quota exhausted");
             }
@@ -617,8 +639,7 @@ CompileServer::handleRequest(Session& session,
             tenant->activeBulk.fetch_add(1, std::memory_order_relaxed);
         if (bulk_before >= options_.quota.maxConcurrentBulk) {
             tenant->activeBulk.fetch_sub(1, std::memory_order_relaxed);
-            tenant->quotaRejections.fetch_add(
-                1, std::memory_order_relaxed);
+            tenant->quotaRejections->inc();
             return sendError(session.fd, WireError::QuotaExceeded,
                              "tenant bulk quota exhausted");
         }
@@ -638,7 +659,7 @@ CompileServer::handleRequest(Session& session,
                              e.what());
         }
         tenant->activeBulk.fetch_sub(1, std::memory_order_relaxed);
-        tenant->prewarms.fetch_add(1, std::memory_order_relaxed);
+        tenant->prewarms->inc();
         WireWriter w = beginMessage(MsgType::PrewarmOk);
         w.u32(static_cast<std::uint32_t>(fixed.uniqueBlocks +
                                          bins.uniqueBlocks));
@@ -681,10 +702,9 @@ CompileServer::handleRequest(Session& session,
         if (static_cast<int>(theta.size()) < entry.numParams)
             return badBody("theta shorter than the plan's parameters");
         if (options_.quota.maxServedBytes > 0 &&
-            tenant->servedBytes.load(std::memory_order_relaxed) >=
+            tenant->servedBytes->value() >=
                 options_.quota.maxServedBytes) {
-            tenant->quotaRejections.fetch_add(
-                1, std::memory_order_relaxed);
+            tenant->quotaRejections->inc();
             return sendError(session.fd, WireError::QuotaExceeded,
                              "tenant served-bytes quota exhausted");
         }
@@ -730,16 +750,12 @@ CompileServer::handleRequest(Session& session,
         std::uint64_t bytes = 0;
         for (const PulsePtr& segment : served.segments)
             bytes += segment->serializedBytes();
-        tenant->serves.fetch_add(1, std::memory_order_relaxed);
-        tenant->serveHits.fetch_add(served.cacheHits +
-                                        served.quantHits,
-                                    std::memory_order_relaxed);
-        tenant->serveMisses.fetch_add(served.cacheMisses +
-                                          served.quantMisses +
-                                          served.exactServes,
-                                      std::memory_order_relaxed);
-        tenant->servedBytes.fetch_add(bytes,
-                                      std::memory_order_relaxed);
+        tenant->serves->inc();
+        tenant->serveHits->inc(served.cacheHits + served.quantHits);
+        tenant->serveMisses->inc(served.cacheMisses +
+                                 served.quantMisses +
+                                 served.exactServes);
+        tenant->servedBytes->inc(bytes);
         WireWriter w = beginMessage(MsgType::ServeOk);
         w.f64(served.pulseNs);
         w.u64(served.cacheHits);
@@ -759,15 +775,9 @@ CompileServer::handleRequest(Session& session,
         return sendFrame(session.fd, w.bytes());
     }
 
-    case MsgType::Stats: {
-        WireWriter w = beginMessage(MsgType::StatsOk);
-        encodeServerStats(w, statsSnapshot());
-        return sendFrame(session.fd, w.bytes());
-    }
-
     case MsgType::Metrics: {
         if (!r.done()) {
-            protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+            protocolErrors_.inc();
             return sendError(session.fd, WireError::BadRequest,
                              "malformed Metrics body");
         }
@@ -793,7 +803,7 @@ CompileServer::handleRequest(Session& session,
         // on carries it. Old plans keep serving their old-epoch
         // records (put() stamps by fingerprint epoch) until swapped.
         const CalibrationEpoch epoch = service_.bumpEpoch(model_hash);
-        epochBumps_.fetch_add(1, std::memory_order_relaxed);
+        epochBumps_.inc();
         std::vector<std::shared_ptr<const ServingPlan>> rekeyed;
         const std::uint32_t plans_rekeyed = rekeyPlansForEpoch(rekeyed);
         rewarmPlansAsync(std::move(rekeyed));
@@ -806,7 +816,7 @@ CompileServer::handleRequest(Session& session,
 
     default:
         // A reply type sent as a request.
-        protocolErrors_.fetch_add(1, std::memory_order_relaxed);
+        protocolErrors_.inc();
         sendError(session.fd, WireError::BadRequest,
                   "reply type sent as a request");
         return false;
@@ -955,125 +965,62 @@ CompileServer::restoreServing(const ServingSnapshot& snapshot)
     return report;
 }
 
-WireServerStats
-CompileServer::statsSnapshot() const
-{
-    WireServerStats out;
-    out.connectionsAccepted =
-        connectionsAccepted_.load(std::memory_order_relaxed);
-    out.connectionsActive =
-        connectionsActive_.load(std::memory_order_relaxed);
-    out.protocolErrors =
-        protocolErrors_.load(std::memory_order_relaxed);
-    out.bulkYields = gate_.bulkYields();
-    out.acceptFailures =
-        acceptFailures_.load(std::memory_order_relaxed);
-    out.busyRejections =
-        busyRejections_.load(std::memory_order_relaxed);
-    out.sessionsReapedIdle =
-        sessionsReapedIdle_.load(std::memory_order_relaxed);
-
-    const ServiceStats service = service_.stats();
-    out.requests = service.requests;
-    out.cacheHits = service.cacheHits;
-    out.coalesced = service.coalesced;
-    out.synthRuns = service.synthRuns;
-    out.rejected = service.rejected;
-    out.exactServes = service.exactServes;
-    out.quantHits = service.quantHits;
-    out.quantMisses = service.quantMisses;
-    out.quantFallbacks = service.quantFallbacks;
-
-    const CacheStats cache = service_.cacheStats();
-    out.cacheLookups = cache.lookups;
-    out.cacheMemHits = cache.hits;
-    out.cacheDiskHits = cache.diskHits;
-    out.cacheMisses = cache.misses;
-    out.cacheEntries = cache.entries;
-    out.cacheBytesInUse = cache.bytesInUse;
-
-    std::lock_guard<std::mutex> lock(registryMu_);
-    out.tenants.reserve(tenants_.size());
-    for (const auto& [name, tenant] : tenants_) {
-        WireTenantStats t;
-        t.tenant = name;
-        {
-            std::lock_guard<std::mutex> plan_lock(tenant->mu);
-            t.plans = tenant->plans.size();
-        }
-        t.serves = tenant->serves.load(std::memory_order_relaxed);
-        t.prewarms = tenant->prewarms.load(std::memory_order_relaxed);
-        t.serveHits =
-            tenant->serveHits.load(std::memory_order_relaxed);
-        t.serveMisses =
-            tenant->serveMisses.load(std::memory_order_relaxed);
-        t.servedBytes =
-            tenant->servedBytes.load(std::memory_order_relaxed);
-        t.quotaRejections =
-            tenant->quotaRejections.load(std::memory_order_relaxed);
-        out.tenants.push_back(std::move(t));
-    }
-    return out;
-}
-
 MetricsSnapshot
 CompileServer::metricsSnapshot() const
 {
-    // The registry already holds the per-frame-type handle histograms
-    // and per-tenant serve histograms; everything else is assembled
-    // from the same sources statsSnapshot() reads, under stable names.
+    // The registry holds every event the server counts; what is added
+    // here is read once at scrape time: levels, the gate's yields, and
+    // the shared service's own counters and histograms.
     MetricsSnapshot out = registry_.collect();
-
-    const WireServerStats stats = statsSnapshot();
     const auto counter = [&](const char* name, std::uint64_t v) {
         out.counters.push_back({name, v});
     };
-    const auto gauge = [&](const char* name, double v) {
+    const auto gauge = [&](const std::string& name, double v) {
         out.gauges.push_back({name, v});
     };
-    counter("qpc_server_connections_accepted_total",
-            stats.connectionsAccepted);
-    counter("qpc_server_protocol_errors_total", stats.protocolErrors);
-    counter("qpc_server_bulk_yields_total", stats.bulkYields);
-    counter("qpc_server_accept_failures_total", stats.acceptFailures);
-    counter("qpc_server_busy_rejections_total", stats.busyRejections);
-    counter("qpc_server_sessions_reaped_idle_total",
-            stats.sessionsReapedIdle);
-    counter("qpc_service_requests_total", stats.requests);
-    counter("qpc_service_cache_hits_total", stats.cacheHits);
-    counter("qpc_service_coalesced_total", stats.coalesced);
-    counter("qpc_service_synth_runs_total", stats.synthRuns);
-    counter("qpc_service_rejected_total", stats.rejected);
-    counter("qpc_service_exact_serves_total", stats.exactServes);
-    counter("qpc_service_quant_hits_total", stats.quantHits);
-    counter("qpc_service_quant_misses_total", stats.quantMisses);
-    counter("qpc_service_quant_fallbacks_total", stats.quantFallbacks);
-    counter("qpc_cache_lookups_total", stats.cacheLookups);
-    counter("qpc_cache_mem_hits_total", stats.cacheMemHits);
-    counter("qpc_cache_disk_hits_total", stats.cacheDiskHits);
-    counter("qpc_cache_misses_total", stats.cacheMisses);
-    counter("qpc_epoch_bumps_total",
-            epochBumps_.load(std::memory_order_relaxed));
+    counter("qpc_server_bulk_yields_total", gate_.bulkYields());
+
+    const ServiceStats service = service_.stats();
+    counter("qpc_service_requests_total", service.requests);
+    counter("qpc_service_cache_hits_total", service.cacheHits);
+    counter("qpc_service_coalesced_total", service.coalesced);
+    counter("qpc_service_synth_runs_total", service.synthRuns);
+    counter("qpc_service_rejected_total", service.rejected);
+    counter("qpc_service_exact_serves_total", service.exactServes);
+    counter("qpc_service_quant_hits_total", service.quantHits);
+    counter("qpc_service_quant_misses_total", service.quantMisses);
+    counter("qpc_service_quant_fallbacks_total", service.quantFallbacks);
+
+    const CacheStats cache = service_.cacheStats();
+    counter("qpc_cache_lookups_total", cache.lookups);
+    counter("qpc_cache_mem_hits_total", cache.hits);
+    counter("qpc_cache_disk_hits_total", cache.diskHits);
+    counter("qpc_cache_misses_total", cache.misses);
+    gauge("qpc_cache_entries", static_cast<double>(cache.entries));
+    gauge("qpc_cache_bytes_in_use", static_cast<double>(cache.bytesInUse));
+
     gauge("qpc_calibration_epoch",
           static_cast<double>(service_.epoch().counter));
     gauge("qpc_server_connections_active",
-          static_cast<double>(stats.connectionsActive));
-    gauge("qpc_cache_entries", static_cast<double>(stats.cacheEntries));
-    gauge("qpc_cache_bytes_in_use",
-          static_cast<double>(stats.cacheBytesInUse));
-
-    for (const WireTenantStats& t : stats.tenants) {
-        const std::string labels =
-            "{tenant=\"" + promLabelEscape(t.tenant) + "\"}";
-        out.counters.push_back(
-            {"qpc_tenant_serves_total" + labels, t.serves});
-        out.counters.push_back(
-            {"qpc_tenant_served_bytes_total" + labels, t.servedBytes});
-        out.counters.push_back(
-            {"qpc_tenant_quota_rejections_total" + labels,
-             t.quotaRejections});
-        out.gauges.push_back(
-            {"qpc_tenant_hit_rate" + labels, t.hitRate()});
+          static_cast<double>(
+              connectionsActive_.load(std::memory_order_relaxed)));
+    {
+        std::lock_guard<std::mutex> lock(registryMu_);
+        for (const auto& [name, tenant] : tenants_) {
+            const std::string labels = tenantLabels(name);
+            std::size_t plans = 0;
+            {
+                std::lock_guard<std::mutex> plan_lock(tenant->mu);
+                plans = tenant->plans.size();
+            }
+            gauge("qpc_tenant_plans" + labels,
+                  static_cast<double>(plans));
+            const std::uint64_t hits = tenant->serveHits->value();
+            const std::uint64_t total =
+                hits + tenant->serveMisses->value();
+            gauge("qpc_tenant_hit_rate" + labels,
+                  total ? static_cast<double>(hits) / total : 0.0);
+        }
     }
 
     const ServiceTelemetry telemetry = service_.telemetry();

@@ -18,9 +18,10 @@
  *    Prewarm work — a prewarm waits at the PriorityGate until no
  *    serve is pending, so grid warming never sits in front of a
  *    latency-sensitive optimizer iteration;
- *  - observability: a Stats frame snapshots the shared
- *    ServiceStats/CacheStats plus per-tenant counters (hit rates,
- *    served bytes, quota rejections).
+ *  - observability: the server counts every event once, in its
+ *    MetricRegistry; a Metrics frame scrapes that registry together
+ *    with the shared ServiceStats/CacheStats (per-tenant hit rates,
+ *    served bytes, quota rejections, latency histograms).
  *
  * Failure containment: a malformed frame or body errors that one
  * connection; every other session keeps serving. Shutdown (frame or
@@ -209,15 +210,13 @@ class CompileServer
      * configured; 0 when the TCP listener is disabled). */
     int boundTcpPort() const;
 
-    /** Snapshot everything a StatsOk frame carries. */
-    WireServerStats statsSnapshot() const;
-
     /**
      * Snapshot everything a MetricsOk frame carries: the registry's
-     * per-frame-type and per-tenant histograms, counters/gauges
-     * mirroring statsSnapshot(), and the shared service's serve-path
-     * latency distributions — ready for renderPrometheus() on either
-     * end of the wire.
+     * server and per-tenant counters and histograms, plus the levels
+     * and shared-service figures read at scrape time (live
+     * connections, plans held, service/cache counters, gate yields,
+     * serve-path latency distributions) — ready for
+     * renderPrometheus() on either end of the wire.
      */
     MetricsSnapshot metricsSnapshot() const;
 
@@ -264,17 +263,22 @@ class CompileServer
         };
         std::map<std::uint64_t, PlanEntry> plans;
 
-        std::atomic<std::uint64_t> serves{0};
-        std::atomic<std::uint64_t> prewarms{0};
-        std::atomic<std::uint64_t> serveHits{0};
-        std::atomic<std::uint64_t> serveMisses{0};
-        std::atomic<std::uint64_t> servedBytes{0};
-        std::atomic<std::uint64_t> quotaRejections{0};
+        /** Prewarm requests running now (a level, not a count). */
         std::atomic<std::uint64_t> activeBulk{0};
 
-        /** This tenant's serve-latency histogram; owned by the
-         * server's metric registry, resolved at intern time. */
+        /** @name This tenant's metrics, owned by the server's
+         * registry and resolved at intern time.
+         *  @{ */
+        MetricRegistry::Counter* serves = nullptr;
+        MetricRegistry::Counter* prewarms = nullptr;
+        /** Served segments found warm / synthesized on serve. */
+        MetricRegistry::Counter* serveHits = nullptr;
+        MetricRegistry::Counter* serveMisses = nullptr;
+        /** Serialized pulse bytes served. */
+        MetricRegistry::Counter* servedBytes = nullptr;
+        MetricRegistry::Counter* quotaRejections = nullptr;
         LatencyHistogram* serveNs = nullptr;
+        /** @} */
     };
 
     /** One live connection. */
@@ -338,9 +342,19 @@ class CompileServer
     CompileService service_;
     PriorityGate gate_;
 
-    /** Named metrics owned by the server: per-frame-type handle
-     * histograms and per-tenant serve histograms. */
+    /** Every event the server counts: the counters below, the
+     * per-frame-type handle histograms, and each tenant's metrics. */
     MetricRegistry registry_;
+    MetricRegistry::Counter& connectionsAccepted_;
+    /** Malformed frames and bodies seen. */
+    MetricRegistry::Counter& protocolErrors_;
+    /** accept(2) errors (EMFILE...). */
+    MetricRegistry::Counter& acceptFailures_;
+    /** Connections shed at session capacity. */
+    MetricRegistry::Counter& busyRejections_;
+    MetricRegistry::Counter& sessionsReapedIdle_;
+    /** Calibration-epoch bumps served (BumpEpoch frames honored). */
+    MetricRegistry::Counter& epochBumps_;
     /** Handle-latency histogram per request MsgType (index = type
      * byte), resolved from the registry at construction. */
     LatencyHistogram* handleNs_[64] = {};
@@ -361,8 +375,6 @@ class CompileServer
     std::vector<std::unique_ptr<Session>> sessions_;
     std::uint32_t nextTenantId_ = 1;
 
-    /** Calibration-epoch bumps served (BumpEpoch frames honored). */
-    std::atomic<std::uint64_t> epochBumps_{0};
     /** Bump-to-rewarmed recovery latency; registry-owned, resolved at
      * construction like the handle histograms. */
     LatencyHistogram* epochRecoveryNs_ = nullptr;
@@ -371,12 +383,8 @@ class CompileServer
     std::mutex rewarmMu_;
     std::vector<std::thread> rewarmThreads_;
 
-    std::atomic<std::uint64_t> connectionsAccepted_{0};
+    /** Live sessions (a level, read at scrape time). */
     std::atomic<std::uint64_t> connectionsActive_{0};
-    std::atomic<std::uint64_t> protocolErrors_{0};
-    std::atomic<std::uint64_t> acceptFailures_{0};
-    std::atomic<std::uint64_t> busyRejections_{0};
-    std::atomic<std::uint64_t> sessionsReapedIdle_{0};
 };
 
 } // namespace qpc

@@ -61,6 +61,19 @@ splitName(const std::string& name, std::string& base,
            labels.find('\n') == std::string::npos;
 }
 
+/** The sample named `name` in one snapshot section (const or not),
+ * or nullptr. */
+template <typename Section>
+auto
+findByName(Section& section, const std::string& name)
+    -> decltype(section.data())
+{
+    for (auto& sample : section)
+        if (sample.name == name)
+            return &sample;
+    return nullptr;
+}
+
 void
 checkName(const std::string& name)
 {
@@ -149,35 +162,44 @@ void
 MetricsSnapshot::merge(const MetricsSnapshot& other)
 {
     for (const auto& c : other.counters) {
-        auto it = std::find_if(counters.begin(), counters.end(),
-                               [&](const CounterSample& s) {
-                                   return s.name == c.name;
-                               });
-        if (it == counters.end())
-            counters.push_back(c);
+        if (CounterSample* mine = findByName(counters, c.name))
+            mine->value += c.value;
         else
-            it->value += c.value;
+            counters.push_back(c);
     }
     for (const auto& g : other.gauges) {
-        auto it = std::find_if(gauges.begin(), gauges.end(),
-                               [&](const GaugeSample& s) {
-                                   return s.name == g.name;
-                               });
-        if (it == gauges.end())
-            gauges.push_back(g);
+        if (GaugeSample* mine = findByName(gauges, g.name))
+            mine->value = g.value;
         else
-            it->value = g.value;
+            gauges.push_back(g);
     }
     for (const auto& h : other.histograms) {
-        auto it = std::find_if(histograms.begin(), histograms.end(),
-                               [&](const HistogramSample& s) {
-                                   return s.name == h.name;
-                               });
-        if (it == histograms.end())
-            histograms.push_back(h);
+        if (HistogramSample* mine = findByName(histograms, h.name))
+            mine->histogram.merge(h.histogram);
         else
-            it->histogram.merge(h.histogram);
+            histograms.push_back(h);
     }
+}
+
+const std::uint64_t*
+MetricsSnapshot::counter(const std::string& name) const
+{
+    const CounterSample* sample = findByName(counters, name);
+    return sample ? &sample->value : nullptr;
+}
+
+const double*
+MetricsSnapshot::gauge(const std::string& name) const
+{
+    const GaugeSample* sample = findByName(gauges, name);
+    return sample ? &sample->value : nullptr;
+}
+
+const HistogramSnapshot*
+MetricsSnapshot::histogram(const std::string& name) const
+{
+    const HistogramSample* sample = findByName(histograms, name);
+    return sample ? &sample->histogram : nullptr;
 }
 
 std::string

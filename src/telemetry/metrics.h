@@ -64,6 +64,14 @@ struct MetricsSnapshot
 
     /** Fold another snapshot in (same-name histograms merge). */
     void merge(const MetricsSnapshot& other);
+
+    /** @name By-name lookup (full name, label block included);
+     * nullptr when the snapshot holds no such metric.
+     *  @{ */
+    const std::uint64_t* counter(const std::string& name) const;
+    const double* gauge(const std::string& name) const;
+    const HistogramSnapshot* histogram(const std::string& name) const;
+    /** @} */
 };
 
 /**

@@ -234,6 +234,35 @@ minPhaseOpNorm(const CMatrix& a, const CMatrix& b)
     return best;
 }
 
+/**
+ * The advertised error of snapSymbolicRotations(symbolic, theta, q):
+ * the summed per-gate bound of every symbolic rotation whose snap the
+ * budget admits (the others stay exact and add nothing).
+ */
+double
+advertisedSnapBound(const Circuit& symbolic,
+                    const std::vector<double>& theta,
+                    const ParamQuantization& quantization)
+{
+    double bound = 0.0;
+    for (const GateOp& op : symbolic.ops()) {
+        if (!gateIsRotation(op.kind) || !op.angle.isSymbolic())
+            continue;
+        const double gate = quantizationErrorBound(
+            snapDelta(op.angle.bind(theta), quantization.bins));
+        if (gate <= quantization.fidelityBudget)
+            bound += gate;
+    }
+    return bound;
+}
+
+/** The bound angle of the i-th op of a snapped (all-constant) circuit. */
+double
+snappedAngle(const Circuit& snapped, std::size_t i)
+{
+    return snapped.ops().at(i).angle.bind({});
+}
+
 TEST(Quantize, SnapIsIdempotentAndWrapAware)
 {
     Rng rng(29);
@@ -315,16 +344,16 @@ TEST(Quantize, ErrorBoundHoldsAcrossGateLibrary)
         symbolic.add(op);
         const std::vector<double> theta = {rng.uniform(-8.0, 8.0)};
 
-        const QuantizedBlock quantized =
-            quantizeBlock(symbolic, theta, quantization);
-        ASSERT_EQ(quantized.bins.size(), 1u);
+        const double bound =
+            advertisedSnapBound(symbolic, theta, quantization);
         // Advertised bound never exceeds the worst case of the grid.
-        EXPECT_LE(quantized.errorBound, kTau / bins / 4.0 + 1e-12);
+        EXPECT_LE(bound, kTau / bins / 4.0 + 1e-12);
 
-        const double measured =
-            tracePhaseOpNorm(circuitUnitary(symbolic.bind(theta)),
-                             circuitUnitary(quantized.snapped));
-        EXPECT_LE(measured, quantized.errorBound + 1e-9)
+        const double measured = tracePhaseOpNorm(
+            circuitUnitary(symbolic.bind(theta)),
+            circuitUnitary(
+                snapSymbolicRotations(symbolic, theta, quantization)));
+        EXPECT_LE(measured, bound + 1e-9)
             << gateName(kind) << " bins=" << bins
             << " theta=" << theta[0];
     }
@@ -355,13 +384,13 @@ TEST(Quantize, MultiRotationBlockBoundIsAdditive)
         symbolic.rz(0, ParamExpr::theta(2, rng.uniform(0.5, 2.0)));
         const std::vector<double> theta = rng.angles(3);
 
-        const QuantizedBlock quantized =
-            quantizeBlock(symbolic, theta, quantization);
-        ASSERT_EQ(quantized.bins.size(), 3u);
-        const double measured =
-            minPhaseOpNorm(circuitUnitary(symbolic.bind(theta)),
-                           circuitUnitary(quantized.snapped));
-        EXPECT_LE(measured, quantized.errorBound + kGridSlack);
+        const double measured = minPhaseOpNorm(
+            circuitUnitary(symbolic.bind(theta)),
+            circuitUnitary(
+                snapSymbolicRotations(symbolic, theta, quantization)));
+        EXPECT_LE(measured,
+                  advertisedSnapBound(symbolic, theta, quantization) +
+                      kGridSlack);
     }
 }
 
@@ -373,33 +402,27 @@ TEST(Quantize, BindingsInOneBinShareOneAddress)
 
     Circuit symbolic(1);
     symbolic.rz(0, ParamExpr::theta(0));
+    const auto address = [&](double theta) {
+        return fingerprintBlock(
+            snapSymbolicRotations(symbolic, {theta}, quantization));
+    };
 
     // The PR 2 pathology: adjacent iterations' angles are distinct
     // exact keys but the same grid bin — one pulse serves both.
-    const QuantizedBlock a =
-        quantizeBlock(symbolic, {0.1001}, quantization);
-    const QuantizedBlock b =
-        quantizeBlock(symbolic, {0.1002}, quantization);
-    EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.bins, b.bins);
+    EXPECT_EQ(address(0.1001), address(0.1002));
 
     // A different bin is a different address.
-    const QuantizedBlock far =
-        quantizeBlock(symbolic, {0.1001 + kTau / 1024 * 3}, quantization);
-    EXPECT_NE(a.fingerprint, far.fingerprint);
+    EXPECT_NE(address(0.1001), address(0.1001 + kTau / 1024 * 3));
 
     // Wrap-awareness carries through to the address.
-    const QuantizedBlock wrapped =
-        quantizeBlock(symbolic, {0.1001 + kTau}, quantization);
-    EXPECT_EQ(a.fingerprint, wrapped.fingerprint);
+    EXPECT_EQ(address(0.1001), address(0.1001 + kTau));
 
-    // Quantizing a block that is already on the grid is free.
-    Circuit on_grid(1);
-    on_grid.rz(0, ParamExpr::theta(0));
-    const QuantizedBlock snapped_again = quantizeBlock(
-        on_grid, {binAngle(17, quantization.bins)}, quantization);
-    EXPECT_EQ(snapped_again.errorBound, 0.0);
-    EXPECT_TRUE(snapped_again.withinBudget);
+    // Snapping a binding that is already on the grid is free.
+    const double on_grid = binAngle(17, quantization.bins);
+    EXPECT_EQ(advertisedSnapBound(symbolic, {on_grid}, quantization),
+              0.0);
+    EXPECT_EQ(address(on_grid),
+              fingerprintBlock(symbolic.bind({on_grid})));
 }
 
 TEST(Quantize, FidelityBudgetGatesTheSnap)
@@ -407,45 +430,47 @@ TEST(Quantize, FidelityBudgetGatesTheSnap)
     Circuit symbolic(1);
     symbolic.rx(0, ParamExpr::theta(0));
 
-    // A zero budget rejects any off-grid angle...
+    // A zero budget keeps any off-grid angle exact...
     ParamQuantization strict_budget;
     strict_budget.enabled = true;
     strict_budget.bins = 64;
     strict_budget.fidelityBudget = 0.0;
     const double off_grid = 0.3 + kTau / 64 / 3.0;
-    EXPECT_FALSE(
-        quantizeBlock(symbolic, {off_grid}, strict_budget)
-            .withinBudget);
+    EXPECT_EQ(snappedAngle(snapSymbolicRotations(symbolic, {off_grid},
+                                                 strict_budget),
+                           0),
+              off_grid);
+    EXPECT_EQ(advertisedSnapBound(symbolic, {off_grid}, strict_budget),
+              0.0);
     // ... but still admits an exactly-on-grid one.
-    EXPECT_TRUE(quantizeBlock(symbolic, {binAngle(5, 64)},
-                              strict_budget)
-                    .withinBudget);
+    EXPECT_EQ(snappedAngle(snapSymbolicRotations(
+                               symbolic, {binAngle(5, 64)}, strict_budget),
+                           0),
+              binAngle(5, 64));
 
     // The default budget admits the default grid's worst case.
     ParamQuantization defaults;
     defaults.enabled = true;
-    EXPECT_TRUE(
-        quantizeBlock(symbolic, {off_grid}, defaults).withinBudget);
+    EXPECT_EQ(
+        snappedAngle(snapSymbolicRotations(symbolic, {off_grid}, defaults),
+                     0),
+        snapAngle(off_grid, defaults.bins));
 
-    // Constant-angle rotations pass through exactly: no bins, no
-    // error, same fingerprint as plain fingerprinting.
+    // Constant-angle rotations pass through exactly: no error, same
+    // fingerprint as plain fingerprinting.
     Circuit constant(1);
     constant.rz(0, 0.123456);
-    const QuantizedBlock fixed =
-        quantizeBlock(constant, {}, strict_budget);
-    EXPECT_TRUE(fixed.bins.empty());
-    EXPECT_EQ(fixed.errorBound, 0.0);
-    EXPECT_EQ(fixed.fingerprint, fingerprintBlock(constant));
+    EXPECT_EQ(advertisedSnapBound(constant, {}, strict_budget), 0.0);
+    EXPECT_EQ(
+        fingerprintBlock(snapSymbolicRotations(constant, {}, strict_budget)),
+        fingerprintBlock(constant));
 }
 
 TEST(Quantize, PerGateBudgetMatchesServePathSemantics)
 {
-    // Regression: quantizeBlock used to sum per-rotation bounds and
-    // set withinBudget from the *sum*, while serve() and
-    // snapSymbolicRotations() check the budget per gate — a
-    // two-rotation block could read as over-budget while the driver
-    // happily simulated both gates snapped. The budget is per gate
-    // everywhere now.
+    // The budget is per gate, as in serve(): each rotation is checked
+    // and falls back on its own, so a block whose gates all fit may
+    // carry a summed bound above the budget.
     ParamQuantization quantization;
     quantization.enabled = true;
     quantization.bins = 32; // Worst per-gate bound: step/4 ~ 0.049.
@@ -464,35 +489,23 @@ TEST(Quantize, PerGateBudgetMatchesServePathSemantics)
         ASSERT_LE(quantizationErrorBound(snapDelta(t, 32)),
                   quantization.fidelityBudget);
 
-    const QuantizedBlock quantized =
-        quantizeBlock(symbolic, theta, quantization);
     // Both gates snapped, no fallback — even though the summed bound
     // exceeds the (per-gate) budget.
-    EXPECT_TRUE(quantized.withinBudget);
-    ASSERT_EQ(quantized.bins.size(), 2u);
-    EXPECT_GE(quantized.bins[0], 0);
-    EXPECT_GE(quantized.bins[1], 0);
-    EXPECT_GT(quantized.errorBound, quantization.fidelityBudget);
-    // Lockstep with the simulation path: the snapped circuit is
-    // exactly what snapSymbolicRotations produces for this binding.
-    const Circuit simulated =
+    const Circuit snapped =
         snapSymbolicRotations(symbolic, theta, quantization);
-    EXPECT_EQ(fingerprintBlock(quantized.snapped),
-              fingerprintBlock(simulated));
+    EXPECT_EQ(snappedAngle(snapped, 0), snapAngle(theta[0], 32));
+    EXPECT_EQ(snappedAngle(snapped, 1), snapAngle(theta[1], 32));
+    EXPECT_GT(advertisedSnapBound(symbolic, theta, quantization),
+              quantization.fidelityBudget);
 
-    // A gate past the per-gate budget stays exact (bin -1) in both.
+    // A gate past the per-gate budget stays exact.
     ParamQuantization tight = quantization;
     tight.fidelityBudget = 0.05 * step;
-    const QuantizedBlock gated = quantizeBlock(symbolic, theta, tight);
-    EXPECT_FALSE(gated.withinBudget);
-    ASSERT_EQ(gated.bins.size(), 2u);
-    EXPECT_EQ(gated.bins[0], -1);
-    EXPECT_EQ(gated.bins[1], -1);
-    EXPECT_EQ(gated.errorBound, 0.0);
-    EXPECT_EQ(fingerprintBlock(gated.snapped),
-              fingerprintBlock(
-                  snapSymbolicRotations(symbolic, theta, tight)));
-    EXPECT_EQ(fingerprintBlock(gated.snapped),
+    const Circuit gated = snapSymbolicRotations(symbolic, theta, tight);
+    EXPECT_EQ(snappedAngle(gated, 0), theta[0]);
+    EXPECT_EQ(snappedAngle(gated, 1), theta[1]);
+    EXPECT_EQ(advertisedSnapBound(symbolic, theta, tight), 0.0);
+    EXPECT_EQ(fingerprintBlock(gated),
               fingerprintBlock(symbolic.bind(theta)));
 }
 

@@ -93,6 +93,15 @@ eventually(Cond cond, int budget_ms = 5000)
     return cond();
 }
 
+/** One counter of a live server's scrape; 0 while it is absent. */
+std::uint64_t
+scrapedCounter(const CompileServer& server, const std::string& name)
+{
+    const MetricsSnapshot metrics = server.metricsSnapshot();
+    const std::uint64_t* value = metrics.counter(name);
+    return value ? *value : 0;
+}
+
 /** Raw connected unix socket, bypassing the client library. */
 int
 rawConnect(const std::string& path)
@@ -367,11 +376,15 @@ TEST(Resilience, IdleTimeoutReapsHalfOpenPeer)
               2);
 
     EXPECT_TRUE(eventually([&] {
-        return server.statsSnapshot().sessionsReapedIdle >= 1;
+        return scrapedCounter(server,
+                              "qpc_server_sessions_reaped_idle_total") >= 1;
     })) << "half-open peer was never reaped";
     // The reaped session released its slot: no leaked live session.
     EXPECT_TRUE(eventually([&] {
-        return server.statsSnapshot().connectionsActive == 0;
+        const MetricsSnapshot metrics = server.metricsSnapshot();
+        const double* active =
+            metrics.gauge("qpc_server_connections_active");
+        return active && *active == 0.0;
     }));
     ::close(fd);
 
@@ -414,7 +427,8 @@ TEST(Resilience, MaxSessionsShedsWithBusyFrame)
     EXPECT_EQ(shed.lastErrorCode(), WireError::Busy)
         << shed.lastError();
     EXPECT_GE(shed.clientStats().busyRejections, 1u);
-    EXPECT_GE(server.statsSnapshot().busyRejections, 1u);
+    EXPECT_GE(scrapedCounter(server, "qpc_server_busy_rejections_total"),
+              1u);
 
     // Capacity freed: a retrying client gets admitted once the
     // occupant hangs up (the accept loop reaps, then admits).
@@ -468,11 +482,12 @@ TEST(Resilience, AcceptBackoffUnderFdExhaustion)
 
     // The pending connection keeps the listener readable while every
     // accept() fails: the old code busy-polled here at 100% CPU.
-    EXPECT_TRUE(eventually(
-        [&] { return server.statsSnapshot().acceptFailures >= 1; }));
+    const auto failures_now = [&] {
+        return scrapedCounter(server, "qpc_server_accept_failures_total");
+    };
+    EXPECT_TRUE(eventually([&] { return failures_now() >= 1; }));
     std::this_thread::sleep_for(std::chrono::milliseconds(400));
-    const std::uint64_t failures =
-        server.statsSnapshot().acceptFailures;
+    const std::uint64_t failures = failures_now();
     EXPECT_GE(failures, 1u);
     // Exponential backoff bounds the failure rate; a hot spin racks
     // up thousands in 400 ms.
@@ -483,8 +498,10 @@ TEST(Resilience, AcceptBackoffUnderFdExhaustion)
     ASSERT_EQ(::setrlimit(RLIMIT_NOFILE, &saved), 0);
 
     // With fds available again the pending connection is admitted.
-    EXPECT_TRUE(eventually(
-        [&] { return server.statsSnapshot().connectionsAccepted >= 1; }));
+    EXPECT_TRUE(eventually([&] {
+        return scrapedCounter(server,
+                              "qpc_server_connections_accepted_total") >= 1;
+    }));
     ::close(probe);
 
     CompileClient liveness;

@@ -244,34 +244,6 @@ TEST(Wire, CircuitDecodeRejectsHostileRecords)
     }
 }
 
-TEST(Wire, StatsRoundTrip)
-{
-    WireServerStats stats;
-    stats.connectionsAccepted = 11;
-    stats.requests = 1234;
-    stats.cacheHits = 600;
-    stats.cacheBytesInUse = 1u << 20;
-    WireTenantStats tenant;
-    tenant.tenant = "alice";
-    tenant.serves = 40;
-    tenant.serveHits = 30;
-    tenant.serveMisses = 10;
-    stats.tenants.push_back(tenant);
-
-    WireWriter w;
-    encodeServerStats(w, stats);
-    WireReader r(w.bytes());
-    const std::optional<WireServerStats> back = decodeServerStats(r);
-    ASSERT_TRUE(back.has_value());
-    EXPECT_TRUE(r.done());
-    EXPECT_EQ(back->connectionsAccepted, 11u);
-    EXPECT_EQ(back->requests, 1234u);
-    EXPECT_EQ(back->cacheBytesInUse, 1u << 20);
-    ASSERT_EQ(back->tenants.size(), 1u);
-    EXPECT_EQ(back->tenants[0].tenant, "alice");
-    EXPECT_DOUBLE_EQ(back->tenants[0].hitRate(), 0.75);
-}
-
 /** A snapshot with every section populated, histogram from real
  * recordings so its bucket invariants hold by construction. */
 MetricsSnapshot
@@ -494,14 +466,20 @@ TEST(Server, SingleTenantPrepareWarmServe)
     EXPECT_EQ(served->pulses.size(), served->numSegments);
     EXPECT_GT(served->cacheHits, 0u); // Prewarmed blocks were warm.
 
-    const auto stats = client.stats();
-    ASSERT_TRUE(stats.has_value());
-    ASSERT_EQ(stats->tenants.size(), 1u);
-    EXPECT_EQ(stats->tenants[0].tenant, "alice");
-    EXPECT_EQ(stats->tenants[0].serves, 1u);
-    EXPECT_EQ(stats->tenants[0].plans, 1u);
-    EXPECT_GT(stats->tenants[0].servedBytes, 0u);
-    EXPECT_GT(stats->tenants[0].hitRate(), 0.0);
+    const auto metrics = client.metrics();
+    ASSERT_TRUE(metrics.has_value());
+    const std::string alice = "{tenant=\"alice\"}";
+    const std::uint64_t* serves =
+        metrics->counter("qpc_tenant_serves_total" + alice);
+    const double* plans = metrics->gauge("qpc_tenant_plans" + alice);
+    const std::uint64_t* bytes =
+        metrics->counter("qpc_tenant_served_bytes_total" + alice);
+    const double* hit_rate = metrics->gauge("qpc_tenant_hit_rate" + alice);
+    ASSERT_TRUE(serves && plans && bytes && hit_rate);
+    EXPECT_EQ(*serves, 1u);
+    EXPECT_EQ(*plans, 1.0);
+    EXPECT_GT(*bytes, 0u);
+    EXPECT_GT(*hit_rate, 0.0);
 }
 
 TEST(Server, FourConcurrentTenantsShareTheCache)
@@ -545,20 +523,27 @@ TEST(Server, FourConcurrentTenantsShareTheCache)
         t.join();
     ASSERT_EQ(failures.load(), 0);
 
-    const WireServerStats stats = harness.server().statsSnapshot();
-    ASSERT_EQ(stats.tenants.size(), static_cast<size_t>(kTenants));
-    std::uint64_t total_serves = 0;
-    for (const WireTenantStats& tenant : stats.tenants) {
-        EXPECT_EQ(tenant.serves, static_cast<std::uint64_t>(kServes));
-        EXPECT_EQ(tenant.plans, 1u);
-        total_serves += tenant.serves;
+    const MetricsSnapshot metrics = harness.server().metricsSnapshot();
+    for (int t = 0; t < kTenants; ++t) {
+        const std::string labels =
+            "{tenant=\"tenant-" + std::to_string(t) + "\"}";
+        const std::uint64_t* serves =
+            metrics.counter("qpc_tenant_serves_total" + labels);
+        const double* plans = metrics.gauge("qpc_tenant_plans" + labels);
+        ASSERT_TRUE(serves && plans) << labels;
+        EXPECT_EQ(*serves, static_cast<std::uint64_t>(kServes));
+        EXPECT_EQ(*plans, 1.0);
     }
-    EXPECT_EQ(total_serves,
-              static_cast<std::uint64_t>(kTenants * kServes));
     // Cross-tenant dedup: 4 identical templates cost one synthesis
     // per unique block (single flight + shared cache), not four.
-    EXPECT_LE(stats.synthRuns, stats.cacheEntries);
-    EXPECT_GT(stats.cacheHits, 0u);
+    const std::uint64_t* synth_runs =
+        metrics.counter("qpc_service_synth_runs_total");
+    const double* entries = metrics.gauge("qpc_cache_entries");
+    const std::uint64_t* hits =
+        metrics.counter("qpc_service_cache_hits_total");
+    ASSERT_TRUE(synth_runs && entries && hits);
+    EXPECT_LE(static_cast<double>(*synth_runs), *entries);
+    EXPECT_GT(*hits, 0u);
 }
 
 TEST(Server, TcpListenerServesOnEphemeralPort)
@@ -602,9 +587,11 @@ TEST(Server, PlanQuotaRejectsWithoutKillingTheSession)
     EXPECT_TRUE(client.connected());
     EXPECT_TRUE(client.serve(first->planId, {0.1, 0.2}).has_value());
 
-    const WireServerStats stats = harness.server().statsSnapshot();
-    ASSERT_EQ(stats.tenants.size(), 1u);
-    EXPECT_EQ(stats.tenants[0].quotaRejections, 1u);
+    const MetricsSnapshot metrics = harness.server().metricsSnapshot();
+    const std::uint64_t* rejections = metrics.counter(
+        "qpc_tenant_quota_rejections_total{tenant=\"greedy\"}");
+    ASSERT_NE(rejections, nullptr);
+    EXPECT_EQ(*rejections, 1u);
 }
 
 TEST(Server, ServedBytesQuotaCapsEgress)
@@ -741,7 +728,11 @@ TEST(ServerFuzz, GarbageBodyErrorsButKeepsTheConnection)
     EXPECT_EQ(peekMessage(*reply), MsgType::HelloOk);
     ::close(fd);
 
-    EXPECT_GT(harness.server().statsSnapshot().protocolErrors, 0u);
+    const MetricsSnapshot metrics = harness.server().metricsSnapshot();
+    const std::uint64_t* errors =
+        metrics.counter("qpc_server_protocol_errors_total");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_GT(*errors, 0u);
 }
 
 TEST(ServerFuzz, HostileCircuitRecordIsRefused)
@@ -784,6 +775,49 @@ TEST(ServerFuzz, ReplyTypeAsRequestClosesTheConnection)
     EXPECT_TRUE(harness.alive());
 }
 
+TEST(ServerFuzz, RetiredStatsFramesAreRefused)
+{
+    // Version 3 retired the Stats request (type 5) and its reply
+    // (type 69). A peer still speaking version 2, or sending either
+    // retired type byte, gets BadRequest and a counted protocol
+    // error; other tenants' sessions keep serving.
+    ServerHarness harness;
+    CompileClient bystander;
+    ASSERT_TRUE(bystander.connectUnix(harness.socket()));
+    ASSERT_TRUE(bystander.hello("bystander").has_value());
+    const auto prepared = bystander.prepareServing(paramTemplate());
+    ASSERT_TRUE(prepared.has_value());
+    ASSERT_TRUE(bystander.serve(prepared->planId, {0.1, 0.2}));
+
+    const std::pair<std::uint8_t, std::uint8_t> retired[] = {
+        {2, 5}, {kServerProtocolVersion, 5}, {kServerProtocolVersion, 69}};
+    for (const auto& [version, type] : retired) {
+        const int fd = rawConnect(harness.socket());
+        ASSERT_GE(fd, 0);
+        WireWriter w;
+        w.u8(version);
+        w.u8(type);
+        ASSERT_TRUE(sendRaw(fd, framed(w.bytes())));
+        const std::optional<std::vector<std::uint8_t>> reply =
+            readFrame(fd);
+        ::close(fd);
+        ASSERT_TRUE(reply.has_value());
+        ASSERT_EQ(peekMessage(*reply), MsgType::Error);
+        WireReader r(*reply);
+        r.u8();
+        r.u8();
+        EXPECT_EQ(r.u32(), static_cast<std::uint32_t>(WireError::BadRequest))
+            << "version " << int(version) << " type " << int(type);
+    }
+
+    const MetricsSnapshot metrics = harness.server().metricsSnapshot();
+    const std::uint64_t* errors =
+        metrics.counter("qpc_server_protocol_errors_total");
+    ASSERT_NE(errors, nullptr);
+    EXPECT_EQ(*errors, 3u);
+    EXPECT_TRUE(bystander.serve(prepared->planId, {0.3, 0.4}));
+}
+
 TEST(ServerFuzz, RandomFrameSoupNeverKillsTheServer)
 {
     ServerHarness harness;
@@ -808,7 +842,9 @@ TEST(ServerFuzz, RandomFrameSoupNeverKillsTheServer)
         serve.f64(0.1);
         serve.f64(0.2);
         corpus.push_back(serve.take());
-        corpus.push_back(beginMessage(MsgType::Stats).take());
+        WireWriter bump = beginMessage(MsgType::BumpEpoch);
+        bump.u64(0);
+        corpus.push_back(bump.take());
         corpus.push_back(beginMessage(MsgType::Metrics).take());
     }
 
@@ -874,24 +910,6 @@ TEST(ServerFuzz, RandomFrameSoupNeverKillsTheServer)
 // Telemetry
 // ---------------------------------------------------------------------
 
-const std::uint64_t*
-findCounter(const MetricsSnapshot& snap, const std::string& name)
-{
-    for (const auto& c : snap.counters)
-        if (c.name == name)
-            return &c.value;
-    return nullptr;
-}
-
-const HistogramSnapshot*
-findHistogram(const MetricsSnapshot& snap, const std::string& name)
-{
-    for (const auto& h : snap.histograms)
-        if (h.name == name)
-            return &h.histogram;
-    return nullptr;
-}
-
 TEST(Server, MetricsFrameMatchesServedWork)
 {
     ServerHarness harness;
@@ -906,25 +924,23 @@ TEST(Server, MetricsFrameMatchesServedWork)
     const std::optional<MetricsSnapshot> metrics = client.metrics();
     ASSERT_TRUE(metrics.has_value());
 
-    // The frame agrees with the Stats frame on shared quantities.
-    const WireServerStats stats = harness.server().statsSnapshot();
+    // The frame agrees with the service it scrapes.
     const std::uint64_t* requests =
-        findCounter(*metrics, "qpc_service_requests_total");
+        metrics->counter("qpc_service_requests_total");
     ASSERT_NE(requests, nullptr);
-    EXPECT_EQ(*requests, stats.requests);
+    EXPECT_EQ(*requests, harness.server().service().stats().requests);
     const std::uint64_t* serves =
-        findCounter(*metrics, "qpc_tenant_serves_total{tenant=\"alice\"}");
+        metrics->counter("qpc_tenant_serves_total{tenant=\"alice\"}");
     ASSERT_NE(serves, nullptr);
     EXPECT_EQ(*serves, 2u);
 
     // Serve latencies land in both the global and the per-tenant
     // histograms, already converted to wire-safe snapshots.
-    const HistogramSnapshot* serveUs =
-        findHistogram(*metrics, "qpc_serve_us");
+    const HistogramSnapshot* serveUs = metrics->histogram("qpc_serve_us");
     ASSERT_NE(serveUs, nullptr);
     EXPECT_GE(serveUs->count, 2u);
-    const HistogramSnapshot* tenantUs = findHistogram(
-        *metrics, "qpc_tenant_serve_us{tenant=\"alice\"}");
+    const HistogramSnapshot* tenantUs =
+        metrics->histogram("qpc_tenant_serve_us{tenant=\"alice\"}");
     ASSERT_NE(tenantUs, nullptr);
     EXPECT_EQ(tenantUs->count, 2u);
     EXPECT_GT(tenantUs->maxNs, 0u);
@@ -958,6 +974,184 @@ TEST(Server, MalformedMetricsBodyIsRefused)
     EXPECT_EQ(peekMessage(*reply), MsgType::Error);
     ::close(fd);
     EXPECT_TRUE(harness.alive());
+}
+
+TEST(Server, ScrapedFamiliesSurviveTheStatsRetirement)
+{
+    // Every counter and gauge family a scrape exported while the Stats
+    // frame still existed keeps its name, and the facts that used to
+    // travel only in that frame's reply have names too: dashboards
+    // and bench/e2e key on these.
+    ServerHarness harness;
+    CompileClient client;
+    ASSERT_TRUE(client.connectUnix(harness.socket()));
+    ASSERT_TRUE(client.hello("alice").has_value());
+    const auto prepared = client.prepareServing(paramTemplate());
+    ASSERT_TRUE(prepared.has_value());
+    ASSERT_TRUE(client.serve(prepared->planId, {0.5, -0.5}).has_value());
+    const std::optional<MetricsSnapshot> metrics = client.metrics();
+    ASSERT_TRUE(metrics.has_value());
+
+    const std::string alice = "{tenant=\"alice\"}";
+    const std::string counters[] = {
+        "qpc_server_connections_accepted_total",
+        "qpc_server_protocol_errors_total",
+        "qpc_server_bulk_yields_total",
+        "qpc_server_accept_failures_total",
+        "qpc_server_busy_rejections_total",
+        "qpc_server_sessions_reaped_idle_total",
+        "qpc_service_requests_total",
+        "qpc_service_cache_hits_total",
+        "qpc_service_coalesced_total",
+        "qpc_service_synth_runs_total",
+        "qpc_service_rejected_total",
+        "qpc_service_exact_serves_total",
+        "qpc_service_quant_hits_total",
+        "qpc_service_quant_misses_total",
+        "qpc_service_quant_fallbacks_total",
+        "qpc_cache_lookups_total",
+        "qpc_cache_mem_hits_total",
+        "qpc_cache_disk_hits_total",
+        "qpc_cache_misses_total",
+        "qpc_epoch_bumps_total",
+        "qpc_tenant_serves_total" + alice,
+        "qpc_tenant_served_bytes_total" + alice,
+        "qpc_tenant_quota_rejections_total" + alice,
+        "qpc_tenant_prewarms_total" + alice,
+        "qpc_tenant_serve_hits_total" + alice,
+        "qpc_tenant_serve_misses_total" + alice,
+    };
+    for (const std::string& name : counters)
+        EXPECT_NE(metrics->counter(name), nullptr) << name;
+    const std::string gauges[] = {
+        "qpc_calibration_epoch",
+        "qpc_server_connections_active",
+        "qpc_cache_entries",
+        "qpc_cache_bytes_in_use",
+        "qpc_tenant_hit_rate" + alice,
+        "qpc_tenant_plans" + alice,
+    };
+    for (const std::string& name : gauges)
+        EXPECT_NE(metrics->gauge(name), nullptr) << name;
+    EXPECT_NE(metrics->histogram("qpc_server_handle_us{type=\"Serve\"}"),
+              nullptr);
+
+    // The hit rate is derived from the two counters it summarizes.
+    const std::uint64_t* hits =
+        metrics->counter("qpc_tenant_serve_hits_total" + alice);
+    const std::uint64_t* misses =
+        metrics->counter("qpc_tenant_serve_misses_total" + alice);
+    const double* hit_rate = metrics->gauge("qpc_tenant_hit_rate" + alice);
+    ASSERT_TRUE(hits && misses && hit_rate);
+    ASSERT_GT(*hits + *misses, 0u);
+    EXPECT_DOUBLE_EQ(*hit_rate, static_cast<double>(*hits) /
+                                    static_cast<double>(*hits + *misses));
+}
+
+/** paramTemplate's shape with a constant phase inside each Fixed
+ * block, so every distinct phase compiles its own cold blocks. */
+Circuit
+phasedTemplate(double phase)
+{
+    Circuit c(2);
+    c.h(0);
+    c.rz(0, phase);
+    c.cx(0, 1);
+    c.rz(1, ParamExpr::theta(0));
+    c.h(0);
+    c.rz(0, phase);
+    c.cx(0, 1);
+    c.rz(1, ParamExpr::theta(1));
+    return c;
+}
+
+TEST(Server, ScrapedCountersSatisfyAccountingIdentities)
+{
+    TempDir dir("qpc_server_identities");
+    CompileServerOptions options;
+    options.socketPath = dir.path() + "/qpc.sock";
+    options.service.numWorkers = 2;
+    // Slow synthesis holds each cold flight open long enough for a
+    // racing session to join it.
+    const BlockSynthesizer analytic = analyticBlockSynthesizer();
+    options.service.synthesizer = [analytic](const Circuit& block) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        return analytic(block);
+    };
+    CompileServer server(std::move(options));
+    server.start();
+    const std::string& socket = server.options().socketPath;
+
+    // Prewarmed hits.
+    CompileClient warm;
+    ASSERT_TRUE(warm.connectUnix(socket));
+    ASSERT_TRUE(warm.hello("warm").has_value());
+    const auto warm_plan = warm.prepareServing(phasedTemplate(0.1));
+    ASSERT_TRUE(warm_plan.has_value());
+    ASSERT_TRUE(warm.prewarm(warm_plan->planId).has_value());
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(warm.serve(warm_plan->planId, {0.2, 0.3 * i}));
+
+    // A cold tenant: misses, synthesis on the serve path.
+    CompileClient cold;
+    ASSERT_TRUE(cold.connectUnix(socket));
+    ASSERT_TRUE(cold.hello("cold").has_value());
+    const auto cold_plan = cold.prepareServing(phasedTemplate(0.2));
+    ASSERT_TRUE(cold_plan.has_value());
+    ASSERT_TRUE(cold.serve(cold_plan->planId, {0.4, 0.5}));
+
+    // Two sessions of one tenant racing a cold plan: one synthesizes,
+    // the other coalesces onto its flight.
+    CompileClient racers[2];
+    for (CompileClient& racer : racers) {
+        ASSERT_TRUE(racer.connectUnix(socket));
+        ASSERT_TRUE(racer.hello("racer").has_value());
+    }
+    const auto race_plan = racers[0].prepareServing(phasedTemplate(0.3));
+    ASSERT_TRUE(race_plan.has_value());
+    std::atomic<int> ready{0};
+    std::atomic<int> failures{0};
+    std::vector<std::thread> threads;
+    for (CompileClient& racer : racers)
+        threads.emplace_back([&, client = &racer] {
+            ready.fetch_add(1);
+            while (ready.load() < 2)
+                std::this_thread::yield();
+            if (!client->serve(race_plan->planId, {0.6, 0.7}))
+                failures.fetch_add(1);
+        });
+    for (std::thread& t : threads)
+        t.join();
+    ASSERT_EQ(failures.load(), 0);
+
+    const std::optional<MetricsSnapshot> metrics = warm.metrics();
+    ASSERT_TRUE(metrics.has_value());
+    const auto count = [&](const std::string& name) {
+        const std::uint64_t* value = metrics->counter(name);
+        EXPECT_NE(value, nullptr) << name;
+        return value ? *value : 0;
+    };
+    const std::uint64_t hits = count("qpc_service_cache_hits_total");
+    const std::uint64_t coalesced = count("qpc_service_coalesced_total");
+    const std::uint64_t synth_runs = count("qpc_service_synth_runs_total");
+    const std::uint64_t exact = count("qpc_service_exact_serves_total");
+    // Every branch the scenario meant to drive was taken.
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(coalesced, 0u);
+    EXPECT_GT(synth_runs, 0u);
+    EXPECT_GT(exact, 0u);
+    EXPECT_GT(count("qpc_cache_misses_total"), 0u);
+
+    // Every block request ends in exactly one outcome...
+    EXPECT_EQ(count("qpc_service_requests_total"),
+              hits + coalesced + synth_runs +
+                  count("qpc_service_rejected_total") + exact);
+    // ... and every cache lookup in exactly one tier or a miss.
+    EXPECT_EQ(count("qpc_cache_lookups_total"),
+              count("qpc_cache_mem_hits_total") +
+                  count("qpc_cache_disk_hits_total") +
+                  count("qpc_cache_misses_total"));
+    server.stop();
 }
 
 TEST(Server, ColdServeTraceNestsCacheProbeAndQueueWait)
@@ -1065,15 +1259,6 @@ TEST(Server, StopWithLiveSessionsJoinsEverything)
 // Calibration epochs over the wire
 // ---------------------------------------------------------------------
 
-const double*
-findGauge(const MetricsSnapshot& snap, const std::string& name)
-{
-    for (const auto& g : snap.gauges)
-        if (g.name == name)
-            return &g.value;
-    return nullptr;
-}
-
 TEST(Server, EpochBumpRekeysPlansWhileServing)
 {
     ServerHarness harness;
@@ -1105,12 +1290,10 @@ TEST(Server, EpochBumpRekeysPlansWhileServing)
     EXPECT_EQ(after->epochCounter, 1u);
 
     const MetricsSnapshot metrics = harness.server().metricsSnapshot();
-    const std::uint64_t* bumps =
-        findCounter(metrics, "qpc_epoch_bumps_total");
+    const std::uint64_t* bumps = metrics.counter("qpc_epoch_bumps_total");
     ASSERT_NE(bumps, nullptr);
     EXPECT_EQ(*bumps, 1u);
-    const double* epoch_gauge =
-        findGauge(metrics, "qpc_calibration_epoch");
+    const double* epoch_gauge = metrics.gauge("qpc_calibration_epoch");
     ASSERT_NE(epoch_gauge, nullptr);
     EXPECT_EQ(*epoch_gauge, 1.0);
 
@@ -1123,7 +1306,7 @@ TEST(Server, EpochBumpRekeysPlansWhileServing)
     for (;;) {
         const MetricsSnapshot warm = harness.server().metricsSnapshot();
         const HistogramSnapshot* recovery =
-            findHistogram(warm, "qpc_epoch_recovery_us");
+            warm.histogram("qpc_epoch_recovery_us");
         ASSERT_NE(recovery, nullptr);
         if (recovery->count >= 1) {
             EXPECT_EQ(recovery->count, 1u);
