@@ -88,9 +88,6 @@ quantizationErrorBound(double delta)
 
 namespace {
 
-/** Coarse bins must fit the 24-bit field of the packed leaf key. */
-constexpr int kMaxAdaptiveBaseBins = 1 << 24;
-
 std::uint64_t
 packLeafKey(std::int64_t coarseBin, int depth, std::uint64_t path)
 {
@@ -104,7 +101,7 @@ AdaptiveAngleGrid::AdaptiveAngleGrid(int baseBins) : bins_(baseBins)
 {
     fatalIf(baseBins <= 0,
             "adaptive grid needs a positive base bin count");
-    fatalIf(baseBins >= kMaxAdaptiveBaseBins,
+    fatalIf(baseBins >= kMaxBaseBins,
             "adaptive grid base bin count exceeds the key space");
     leaves_ = static_cast<std::size_t>(baseBins);
 }

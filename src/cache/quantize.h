@@ -63,7 +63,8 @@ struct ParamQuantization
      * never pay for resolution. See AdaptiveAngleGrid and
      * CompileService::refineQuantizedGrid().
      *  @{ */
-    /** Enable convergence-aware bin refinement (needs `enabled`). */
+    /** Let CompileService::refineQuantizedGrid() split leaves (needs
+     * `enabled`); off, a plan's grid stays the uniform `bins` grid. */
     bool adaptive = false;
     /**
      * Cap on splits per coarse bin: a leaf at depth d has width
@@ -130,6 +131,9 @@ class AdaptiveAngleGrid
      * mantissa); split() refuses beyond it, and owners must validate
      * their refine-depth knobs against it up front. */
     static constexpr int kMaxDepth = 32;
+    /** Coarse bins must fit the 24-bit field of the packed leaf key;
+     * owners validate their `bins` knob against this up front. */
+    static constexpr int kMaxBaseBins = 1 << 24;
 
     AdaptiveAngleGrid() = default;
     explicit AdaptiveAngleGrid(int baseBins);
@@ -240,10 +244,11 @@ double quantizationErrorBound(double delta);
  * otherwise; constant angles (and non-rotation gates) pass through
  * exactly. This is the circuit the quantized serve path's pulses
  * realize, so drivers that simulate "hardware" evaluate the same
- * physics the cache serves. CompileService::serve() applies the same
- * bind -> bin -> per-gate budget sequence against per-axis
- * fingerprint tables precomputed at prepareServing() time; the two
- * must agree on the budget semantic.
+ * physics the cache serves. It is the reference for a never-refined
+ * plan: CompileService::serve() and snapServedRotations() apply the
+ * same bind -> bin -> per-gate budget sequence through the plan's
+ * per-axis grids, and an unsplit leaf's representative is this
+ * function's snapped angle bit-for-bit.
  */
 Circuit snapSymbolicRotations(const Circuit& symbolic,
                               const std::vector<double>& theta,

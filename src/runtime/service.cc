@@ -28,12 +28,17 @@ rotationAt(const Circuit& gate, double angle)
     return snapped;
 }
 
-/** One strict segment's rotation, rebuilt at a grid bin's angle. */
-Circuit
-snappedRotation(const Circuit& gate, std::int64_t bin, int bins)
+/** Records the enclosing call's latency on every exit. */
+struct LatencyOnExit
 {
-    return rotationAt(gate, binAngle(bin, bins));
-}
+    LatencyHistogram& hist;
+    std::uint64_t start = traceNowNs();
+    ~LatencyOnExit()
+    {
+        const std::uint64_t end = traceNowNs();
+        hist.record(end > start ? end - start : 0);
+    }
+};
 
 /** Analytic library pulse for one local block on a clique device. */
 PulseSchedule
@@ -53,8 +58,9 @@ validateQuantization(const ParamQuantization& quantization)
 {
     fatalIf(quantization.enabled &&
                 (quantization.bins <= 0 ||
+                 quantization.bins >= AdaptiveAngleGrid::kMaxBaseBins ||
                  quantization.fidelityBudget < 0.0),
-            "quantization needs a positive bin count and a "
+            "quantization needs a bin count in [1, 2^24) and a "
             "non-negative fidelity budget");
     fatalIf(quantization.enabled && quantization.adaptive &&
                 (quantization.maxRefineDepth <= 0 ||
@@ -442,8 +448,7 @@ BatchCompileReport
 CompileService::prewarmQuantizedBins(const ServingPlan& plan)
 {
     const auto start = std::chrono::steady_clock::now();
-    const ParamQuantization& quantization = plan.quant_;
-    if (!quantization.enabled) {
+    if (!plan.quant_.enabled) {
         BatchCompileReport report;
         report.wallSeconds = 0.0;
         return report;
@@ -455,18 +460,18 @@ CompileService::prewarmQuantizedBins(const ServingPlan& plan)
     // (axis, bin) exactly once.
     std::vector<ServingPlan::FixedEntry> entries;
     for (const ServingPlan::PlanSegment& segment : plan.segments_) {
-        if (segment.fixed)
+        if (!segment.axis)
             continue;
-        const auto table =
-            plan.binTables_.find(segment.gate.ops().front().kind);
-        panicIf(table == plan.binTables_.end(),
-                "serving plan is missing a quantized bin table");
-        for (int bin = 0; bin < quantization.bins; ++bin) {
+        // Coarse fingerprints are immutable after prepareServing(), so
+        // they are read without the axis lock. A bin refinement split
+        // still warms: the grid pre-warm is always the coarse grid.
+        const ServingPlan::QuantizedAxis& axis = *segment.axis;
+        const int bins = axis.grid.baseBins();
+        for (int bin = 0; bin < bins; ++bin) {
             ServingPlan::FixedEntry entry;
             entry.fingerprint =
-                table->second[static_cast<std::size_t>(bin)];
-            entry.local =
-                snappedRotation(segment.gate, bin, quantization.bins);
+                axis.coarse[static_cast<std::size_t>(bin)].fingerprint;
+            entry.local = rotationAt(segment.gate, binAngle(bin, bins));
             entries.push_back(std::move(entry));
         }
     }
@@ -505,17 +510,7 @@ CompileService::prepareServing(const StrictPartition& partition,
     const
 {
     TraceSpan span("prepare-serving");
-    const std::uint64_t t0 = traceNowNs();
-    struct RecordOnExit
-    {
-        LatencyHistogram& hist;
-        std::uint64_t start;
-        ~RecordOnExit()
-        {
-            const std::uint64_t end = traceNowNs();
-            hist.record(end > start ? end - start : 0);
-        }
-    } timer{prepareNs_, t0};
+    LatencyOnExit timer{prepareNs_};
 
     // Per-plan overrides (driver knobs) get the same validation the
     // constructor applies to the service-wide default, so an invalid
@@ -559,40 +554,23 @@ CompileService::prepareServing(const StrictPartition& partition,
                                width, options_.lookupDt));
             // Fingerprint the whole grid for this axis once: serve()
             // then maps binding -> bin -> address by array index.
-            if (quantization.enabled &&
-                !plan.binTables_.count(relabeled.kind)) {
-                std::vector<BlockFingerprint> table;
-                table.reserve(quantization.bins);
-                for (int bin = 0; bin < quantization.bins; ++bin)
-                    table.push_back(fingerprintStamped(snappedRotation(
-                        out.gate, bin, quantization.bins)));
-                // Adaptive refinement state: every coarse bin starts
-                // as one leaf carrying the fixed grid's fingerprint
-                // (representatives coincide bit-for-bit), so an
-                // unsplit leaf serves — and a prewarmed grid warms —
-                // the very same cache entries.
-                if (quantization.adaptive) {
-                    auto axis =
-                        std::make_shared<ServingPlan::AdaptiveAxis>();
+            // Segments of one rotation kind share the axis, so their
+            // visits feed one refinement state.
+            if (quantization.enabled) {
+                std::shared_ptr<ServingPlan::QuantizedAxis>& axis =
+                    plan.axes_[relabeled.kind];
+                if (!axis) {
+                    axis = std::make_shared<ServingPlan::QuantizedAxis>();
                     axis->grid = AdaptiveAngleGrid(quantization.bins);
                     axis->gate = out.gate;
-                    axis->leaves.reserve(
+                    axis->coarse.resize(
                         static_cast<std::size_t>(quantization.bins));
-                    for (int bin = 0; bin < quantization.bins; ++bin) {
-                        ServingPlan::AdaptiveAxis::LeafState state;
-                        state.leaf = axis->grid.locate(
-                            binAngle(bin, quantization.bins));
-                        state.fingerprint =
-                            table[static_cast<std::size_t>(bin)];
-                        axis->leaves.emplace(
-                            AdaptiveAngleGrid::leafKey(state.leaf),
-                            std::move(state));
-                    }
-                    plan.adaptiveAxes_.emplace(relabeled.kind,
-                                               std::move(axis));
+                    for (int bin = 0; bin < quantization.bins; ++bin)
+                        axis->coarse[static_cast<std::size_t>(bin)]
+                            .fingerprint = fingerprintStamped(rotationAt(
+                            out.gate, binAngle(bin, quantization.bins)));
                 }
-                plan.binTables_.emplace(relabeled.kind,
-                                        std::move(table));
+                out.axis = axis;
             }
             plan.segments_.push_back(std::move(out));
         }
@@ -604,19 +582,35 @@ ServedPulse
 CompileService::serve(const ServingPlan& plan,
                       const std::vector<double>& theta)
 {
-    const std::uint64_t serveT0 = traceNowNs();
-    struct RecordOnExit
-    {
-        LatencyHistogram& hist;
-        std::uint64_t start;
-        ~RecordOnExit()
-        {
-            const std::uint64_t end = traceNowNs();
-            hist.record(end > start ? end - start : 0);
-        }
-    } timer{serveNs_, serveT0};
-
+    LatencyOnExit timer{serveNs_};
+    // Tallies accumulate in `served` and reach the shared counters
+    // once, on every exit: a serve that throws still counts exactly
+    // the segments it processed.
     ServedPulse served;
+    struct CountOnExit
+    {
+        CompileService& service;
+        const ServedPulse& s;
+        ~CountOnExit()
+        {
+            const auto add = [](std::atomic<std::uint64_t>& counter,
+                                std::uint64_t n) {
+                if (n)
+                    counter.fetch_add(n, std::memory_order_relaxed);
+            };
+            // Each segment is one logical "give me this block": a
+            // cache probe (hit or miss) or an exact synthesis.
+            add(service.requests_, s.cacheHits + s.cacheMisses +
+                                       s.quantHits + s.quantMisses +
+                                       s.exactServes);
+            add(service.cacheHits_, s.cacheHits + s.quantHits);
+            add(service.quantHits_, s.quantHits);
+            add(service.quantMisses_, s.quantMisses);
+            add(service.quantFallbacks_, s.quantFallbacks);
+            add(service.exactServes_, s.exactServes);
+        }
+    } counts{*this, served};
+
     for (const ServingPlan::PlanSegment& segment : plan.segments_) {
         if (segment.fixed) {
             for (const ServingPlan::FixedEntry& entry : segment.blocks) {
@@ -624,16 +618,13 @@ CompileService::serve(const ServingPlan& plan,
                 // future machinery for a value that is already there.
                 // One logical lookup, counted once: the probe is the
                 // only CacheStats lookup (a miss hands the result to
-                // admitAfterMiss rather than re-probing), and the
-                // service-wide request/hit counters see every serve.
-                requests_.fetch_add(1, std::memory_order_relaxed);
+                // admitAfterMiss rather than re-probing).
                 PulsePtr pulse;
                 {
                     TraceSpan probe("cache-probe");
                     pulse = cache_.get(entry.fingerprint);
                 }
                 if (pulse) {
-                    cacheHits_.fetch_add(1, std::memory_order_relaxed);
                     ++served.cacheHits;
                 } else {
                     ++served.cacheMisses;
@@ -646,117 +637,85 @@ CompileService::serve(const ServingPlan& plan,
                 served.pulseNs += pulse->durationNs();
                 served.segments.push_back(std::move(pulse));
             }
-        } else {
-            // A parametrized rotation. Quantized serving snaps the
-            // binding onto the angle grid — the current adaptive leaf
-            // when the plan refines, the fixed bin otherwise — and
-            // resolves the representative through the
-            // content-addressed cache: one synthesis per bin, ever.
-            // It falls back to the exact path when the snap would
-            // overdraw the per-gate fidelity budget (or quantization
-            // is off): an analytic lookup synthesized per binding,
-            // never cached.
-            if (plan.quant_.enabled) {
-                const GateOp& op = segment.gate.ops().front();
-                const double angle = op.angle.bind(theta);
-                double representative = 0.0;
-                BlockFingerprint fp;
-                if (plan.quant_.adaptive) {
-                    const auto axis_it =
-                        plan.adaptiveAxes_.find(op.kind);
-                    panicIf(axis_it == plan.adaptiveAxes_.end(),
-                            "serving plan is missing an adaptive axis");
-                    ServingPlan::AdaptiveAxis& axis = *axis_it->second;
-                    // Short critical section: locate the leaf, read
-                    // its fingerprint, feed the visit counter that
-                    // drives refinement. Synthesis and cache traffic
-                    // stay outside the lock.
-                    std::lock_guard<std::mutex> lock(axis.mu);
+            continue;
+        }
+        // A parametrized rotation. Quantized serving snaps the binding
+        // onto its axis's grid — the coarse bin, or the refined leaf
+        // below it once refinement split that bin — and resolves the
+        // representative through the content-addressed cache: one
+        // synthesis per bin, ever. It falls back to the exact path
+        // when the snap would overdraw the per-gate fidelity budget
+        // (or quantization is off): an analytic lookup synthesized per
+        // binding, never cached.
+        if (segment.axis) {
+            const double angle =
+                segment.gate.ops().front().angle.bind(theta);
+            ServingPlan::QuantizedAxis& axis = *segment.axis;
+            const int bins = axis.grid.baseBins();
+            const std::int64_t bin = angleBin(angle, bins);
+            double representative = binAngle(bin, bins);
+            BlockFingerprint fp;
+            {
+                // Short critical section: read the fingerprint and
+                // feed the visit counter that drives refinement.
+                // Synthesis and cache traffic stay outside the lock.
+                std::lock_guard<std::mutex> lock(axis.mu);
+                ServingPlan::QuantizedAxis::CoarseBin& coarse =
+                    axis.coarse[static_cast<std::size_t>(bin)];
+                if (!coarse.split) {
+                    ++coarse.visits;
+                    fp = coarse.fingerprint;
+                } else {
                     const AdaptiveAngleGrid::Leaf leaf =
                         axis.grid.locate(angle);
-                    const auto leaf_it = axis.leaves.find(
+                    const auto leaf_it = axis.refined.find(
                         AdaptiveAngleGrid::leafKey(leaf));
-                    panicIf(leaf_it == axis.leaves.end(),
-                            "adaptive axis lost a grid leaf");
+                    panicIf(leaf_it == axis.refined.end(),
+                            "quantized axis lost a grid leaf");
                     ++leaf_it->second.visits;
                     representative = leaf.representative;
                     fp = leaf_it->second.fingerprint;
-                } else {
-                    const std::int64_t bin =
-                        angleBin(angle, plan.quant_.bins);
-                    const auto table = plan.binTables_.find(op.kind);
-                    panicIf(table == plan.binTables_.end(),
-                            "serving plan is missing a quantized bin "
-                            "table");
-                    // Fail loudly on a plan whose bin table disagrees
-                    // with its ParamQuantization::bins (a corrupted or
-                    // hand-assembled plan): indexing by a bin computed
-                    // from the wrong grid would read out of bounds.
-                    panicIf(table->second.size() !=
-                                static_cast<std::size_t>(
-                                    plan.quant_.bins),
-                            "quantized bin table size disagrees with "
-                            "ParamQuantization::bins");
-                    representative = binAngle(bin, plan.quant_.bins);
-                    fp = table->second[static_cast<std::size_t>(bin)];
                 }
-                const double bound =
-                    quantizationErrorBound(wrappedAngleDelta(
-                        angle, representative));
-                if (bound <= plan.quant_.fidelityBudget) {
-                    served.quantErrorBound += bound;
-                    // Same single-probe discipline as the Fixed path:
-                    // the bin lookup is one logical request, counted
-                    // once in CacheStats and in the service counters.
-                    requests_.fetch_add(1, std::memory_order_relaxed);
-                    PulsePtr pulse;
-                    {
-                        TraceSpan probe("cache-probe");
-                        pulse = cache_.get(fp);
-                    }
-                    if (pulse) {
-                        cacheHits_.fetch_add(1,
-                                             std::memory_order_relaxed);
-                        ++served.quantHits;
-                        quantHits_.fetch_add(1,
-                                             std::memory_order_relaxed);
-                    } else {
-                        ++served.quantMisses;
-                        quantMisses_.fetch_add(
-                            1, std::memory_order_relaxed);
-                        TraceSpan wait("synthesis-wait");
-                        pulse = admitAfterMiss(
-                                    fp,
-                                    rotationAt(segment.gate,
-                                               representative),
-                                    nullptr, /*force_block=*/true)
-                                    .get();
-                    }
-                    served.pulseNs += pulse->durationNs();
-                    served.segments.push_back(std::move(pulse));
-                    continue;
-                }
-                ++served.quantFallbacks;
-                quantFallbacks_.fetch_add(1, std::memory_order_relaxed);
             }
-            const auto kit =
-                plan.kits_.find(segment.gate.numQubits());
-            panicIf(kit == plan.kits_.end(),
-                    "serving plan is missing a lookup kit");
-            // Per-binding exact synthesis is still one logical "give
-            // me this block": count it, so hit rates keep an honest
-            // denominator under fallback-heavy workloads (it used to
-            // bypass ServiceStats entirely).
-            requests_.fetch_add(1, std::memory_order_relaxed);
-            exactServes_.fetch_add(1, std::memory_order_relaxed);
-            ++served.exactServes;
-            TraceSpan exact("exact-synth");
-            PulsePtr pulse = std::make_shared<const PulseSchedule>(
-                kit->second->library.compileCircuit(
-                    segment.gate.bind(theta)));
-            served.pulseNs += pulse->durationNs();
-            served.segments.push_back(std::move(pulse));
+            const double bound = quantizationErrorBound(
+                wrappedAngleDelta(angle, representative));
+            if (bound <= plan.quant_.fidelityBudget) {
+                served.quantErrorBound += bound;
+                // Same single-probe discipline as the Fixed path.
+                PulsePtr pulse;
+                {
+                    TraceSpan probe("cache-probe");
+                    pulse = cache_.get(fp);
+                }
+                if (pulse) {
+                    ++served.quantHits;
+                } else {
+                    ++served.quantMisses;
+                    TraceSpan wait("synthesis-wait");
+                    pulse = admitAfterMiss(
+                                fp, rotationAt(segment.gate,
+                                               representative),
+                                nullptr, /*force_block=*/true)
+                                .get();
+                }
+                served.pulseNs += pulse->durationNs();
+                served.segments.push_back(std::move(pulse));
+                continue;
+            }
+            ++served.quantFallbacks;
         }
+        const auto kit = plan.kits_.find(segment.gate.numQubits());
+        panicIf(kit == plan.kits_.end(),
+                "serving plan is missing a lookup kit");
+        // Per-binding exact synthesis is still one logical "give me
+        // this block": counted in `requests`, so hit rates keep an
+        // honest denominator under fallback-heavy workloads.
+        ++served.exactServes;
+        TraceSpan exact("exact-synth");
+        PulsePtr pulse = std::make_shared<const PulseSchedule>(
+            kit->second->library.compileCircuit(segment.gate.bind(theta)));
+        served.pulseNs += pulse->durationNs();
+        served.segments.push_back(std::move(pulse));
     }
     return served;
 }
@@ -792,11 +751,18 @@ CompileService::refineQuantizedGrid(const ServingPlan& plan)
     // parent or both children, never a gap in the topology.
     std::vector<ServingPlan::FixedEntry> children;
     std::vector<BlockFingerprint> stale;
-    for (const auto& [kind, axis_ptr] : plan.adaptiveAxes_) {
-        ServingPlan::AdaptiveAxis& axis = *axis_ptr;
+    for (const auto& [kind, axis_ptr] : plan.axes_) {
+        ServingPlan::QuantizedAxis& axis = *axis_ptr;
 
         struct Candidate
         {
+            Candidate(const AdaptiveAngleGrid::Leaf& leaf,
+                      const BlockFingerprint& fingerprint,
+                      std::uint64_t heat)
+                : parent(leaf), parentFingerprint(fingerprint),
+                  visits(heat)
+            {
+            }
             AdaptiveAngleGrid::Leaf parent;
             BlockFingerprint parentFingerprint;
             std::uint64_t visits = 0;
@@ -806,25 +772,35 @@ CompileService::refineQuantizedGrid(const ServingPlan& plan)
         std::vector<Candidate> hot;
         {
             std::lock_guard<std::mutex> lock(axis.mu);
-            for (const auto& [key, state] : axis.leaves)
+            // An unsplit coarse bin is a depth-0 leaf, below any
+            // validated refine depth.
+            const int bins = axis.grid.baseBins();
+            for (int bin = 0; bin < bins; ++bin) {
+                const auto& coarse =
+                    axis.coarse[static_cast<std::size_t>(bin)];
+                if (!coarse.split &&
+                    coarse.visits >= q.splitVisitThreshold)
+                    hot.emplace_back(axis.grid.locate(binAngle(bin, bins)),
+                                     coarse.fingerprint, coarse.visits);
+            }
+            for (const auto& [key, state] : axis.refined)
                 if (state.visits >= q.splitVisitThreshold &&
-                    state.leaf.depth < q.maxRefineDepth) {
-                    Candidate candidate;
-                    candidate.parent = state.leaf;
-                    candidate.parentFingerprint = state.fingerprint;
-                    candidate.visits = state.visits;
-                    hot.push_back(std::move(candidate));
-                }
+                    state.leaf.depth < q.maxRefineDepth)
+                    hot.emplace_back(state.leaf, state.fingerprint,
+                                     state.visits);
             // Cool every leaf *after* the hot snapshot: a leaf that
             // just crossed the threshold still splits this round, but
             // heat the optimizer abandoned stops compounding toward a
             // split it no longer deserves. Runs even when nothing is
             // hot — cooling is about rounds elapsing, not splits.
-            if (q.visitDecay < 1.0)
-                for (auto& [key, state] : axis.leaves)
-                    state.visits = static_cast<std::uint64_t>(
-                        static_cast<double>(state.visits) *
-                        q.visitDecay);
+            const auto cool = [&q](std::uint64_t& visits) {
+                visits = static_cast<std::uint64_t>(
+                    static_cast<double>(visits) * q.visitDecay);
+            };
+            for (auto& coarse : axis.coarse)
+                cool(coarse.visits);
+            for (auto& [key, state] : axis.refined)
+                cool(state.visits);
         }
         if (hot.empty())
             continue;
@@ -857,26 +833,28 @@ CompileService::refineQuantizedGrid(const ServingPlan& plan)
             for (Candidate& candidate : hot) {
                 if (axis.grid.numLeaves() >= max_leaves)
                     break;
-                const std::uint64_t parent_key =
-                    AdaptiveAngleGrid::leafKey(candidate.parent);
+                const AdaptiveAngleGrid::Leaf& parent = candidate.parent;
+                auto& coarse =
+                    axis.coarse[static_cast<std::size_t>(parent.coarseBin)];
                 // Gone = a concurrent round split it first; its
                 // children are already installed.
-                if (!axis.leaves.count(parent_key))
+                const bool gone = parent.depth == 0
+                                      ? coarse.split
+                                      : axis.refined.erase(
+                                            AdaptiveAngleGrid::leafKey(
+                                                parent)) == 0;
+                if (gone)
                     continue;
-                axis.grid.split(candidate.parent);
-                axis.leaves.erase(parent_key);
-                ServingPlan::AdaptiveAxis::LeafState low_state;
-                low_state.leaf = candidate.lowLeaf;
-                low_state.fingerprint = candidate.low.fingerprint;
-                axis.leaves.emplace(
+                coarse.split = true;
+                axis.grid.split(parent);
+                axis.refined.emplace(
                     AdaptiveAngleGrid::leafKey(candidate.lowLeaf),
-                    std::move(low_state));
-                ServingPlan::AdaptiveAxis::LeafState high_state;
-                high_state.leaf = candidate.highLeaf;
-                high_state.fingerprint = candidate.high.fingerprint;
-                axis.leaves.emplace(
+                    ServingPlan::QuantizedAxis::LeafState{
+                        candidate.lowLeaf, candidate.low.fingerprint});
+                axis.refined.emplace(
                     AdaptiveAngleGrid::leafKey(candidate.highLeaf),
-                    std::move(high_state));
+                    ServingPlan::QuantizedAxis::LeafState{
+                        candidate.highLeaf, candidate.high.fingerprint});
                 children.push_back(std::move(candidate.low));
                 children.push_back(std::move(candidate.high));
                 stale.push_back(candidate.parentFingerprint);
@@ -930,14 +908,19 @@ AdaptiveGridStats
 CompileService::quantizedGridStats(const ServingPlan& plan) const
 {
     AdaptiveGridStats out;
-    for (const auto& [kind, axis_ptr] : plan.adaptiveAxes_) {
-        const ServingPlan::AdaptiveAxis& axis = *axis_ptr;
+    for (const auto& [kind, axis_ptr] : plan.axes_) {
+        const ServingPlan::QuantizedAxis& axis = *axis_ptr;
         std::lock_guard<std::mutex> lock(axis.mu);
         ++out.axes;
         out.leaves += axis.grid.numLeaves();
         out.maxDepth = std::max(out.maxDepth, axis.grid.maxDepthInUse());
         out.splits += axis.grid.splits();
-        for (const auto& [key, state] : axis.leaves)
+        // Any unsplit coarse bin still advertises the coarse worst
+        // case: half its half-width, step / 4.
+        if (axis.grid.numLeaves() > axis.refined.size())
+            out.worstCaseBound = std::max(
+                out.worstCaseBound, plan.quant_.stepRadians() / 4.0);
+        for (const auto& [key, state] : axis.refined)
             out.worstCaseBound = std::max(out.worstCaseBound,
                                           state.leaf.halfWidth / 2.0);
     }
@@ -950,24 +933,23 @@ CompileService::snapServedRotations(const ServingPlan& plan,
                                     const std::vector<double>& theta)
     const
 {
-    if (!plan.quant_.enabled || !plan.quant_.adaptive)
-        return snapSymbolicRotations(symbolic, theta, plan.quant_);
     Circuit bound(symbolic.numQubits());
     for (const GateOp& op : symbolic.ops()) {
         GateOp next = op;
         if (gateIsRotation(op.kind)) {
             const double angle = op.angle.bind(theta);
             double value = angle;
-            if (op.angle.isSymbolic()) {
-                const auto axis_it = plan.adaptiveAxes_.find(op.kind);
-                panicIf(axis_it == plan.adaptiveAxes_.end(),
-                        "serving plan is missing an adaptive axis");
-                ServingPlan::AdaptiveAxis& axis = *axis_it->second;
+            if (plan.quant_.enabled && op.angle.isSymbolic()) {
+                const auto axis_it = plan.axes_.find(op.kind);
+                panicIf(axis_it == plan.axes_.end(),
+                        "serving plan is missing a quantized axis");
+                const ServingPlan::QuantizedAxis& axis = *axis_it->second;
                 double representative;
                 {
                     // Locate only — simulation must not feed the
                     // visit counters serve() already fed for this
-                    // binding.
+                    // binding. An unsplit bin's leaf represents it
+                    // with binAngle(), exactly as serve() does.
                     std::lock_guard<std::mutex> lock(axis.mu);
                     representative =
                         axis.grid.locate(angle).representative;

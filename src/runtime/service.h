@@ -257,10 +257,10 @@ struct RefinementReport
     double wallSeconds = 0.0;     ///< End-to-end round wall clock.
 };
 
-/** Snapshot of one plan's adaptive grids (all axes pooled). */
+/** Snapshot of one plan's quantized grids (all axes pooled). */
 struct AdaptiveGridStats
 {
-    int axes = 0;             ///< Rotation axes under refinement.
+    int axes = 0;             ///< Quantized rotation axes.
     std::size_t leaves = 0;   ///< Served leaves across all axes.
     int maxDepth = 0;         ///< Deepest refinement anywhere.
     std::uint64_t splits = 0; ///< Lifetime splits across all axes.
@@ -273,9 +273,11 @@ struct AdaptiveGridStats
  * The iteration-invariant half of serving one strict partition,
  * computed once by CompileService::prepareServing(): Fixed segments
  * are blocked and fingerprinted up front, parametrized rotations are
- * relabeled to local qubits with their device/library pair built, so
- * serve() in the hybrid-loop hot path does nothing but cache lookups,
- * one angle binding per rotation, and concatenation.
+ * relabeled to local qubits with their device/library pair built, and
+ * each quantized rotation axis gets one grid (a fixed grid is that grid
+ * with refinement off), so serve() in the hybrid-loop hot path does
+ * nothing but cache lookups, one angle binding per rotation, and
+ * concatenation.
  */
 class ServingPlan
 {
@@ -295,9 +297,6 @@ class ServingPlan
 
   private:
     friend class CompileService;
-    /** Test seam: regression tests corrupt plan internals to prove
-     * serve() fails loudly on inconsistent state. */
-    friend struct ServingPlanTestPeer;
 
     /** A device and its pulse library with stable addresses (the
      * library holds a reference to the device). */
@@ -317,27 +316,22 @@ class ServingPlan
         Circuit local;
     };
 
-    struct PlanSegment
-    {
-        bool fixed = true;
-        /** Fixed path: pre-fingerprinted local blocks. */
-        std::vector<FixedEntry> blocks;
-        /** Lookup path: the symbolic rotation, relabeled local. */
-        Circuit gate;
-    };
-
     /**
-     * Mutable per-axis half of the *adaptive* quantized path: the
-     * multi-resolution grid topology, plus per-leaf fingerprints and
-     * serve-visit counters. Guarded by `mu` — serve() locates leaves
-     * and bumps visits under it, refineQuantizedGrid() splits hot
-     * leaves under it, so a plan can be refined in place while other
-     * threads serve from it. Held by shared_ptr so the state survives
+     * Mutable per-axis state of the quantized path, one per rotation
+     * kind: the grid, each coarse bin's fingerprint and serve visits,
+     * and the leaves below bins that refinement split. Guarded by
+     * `mu`, so refineQuantizedGrid() splits leaves in place while
+     * other threads serve. Held by shared_ptr so the state survives
      * plan moves and stays mutable behind serve()'s const plan.
      */
-    struct AdaptiveAxis
+    struct QuantizedAxis
     {
-        /** One leaf's serve state. */
+        struct CoarseBin
+        {
+            BlockFingerprint fingerprint; ///< Immutable after prepare.
+            std::uint64_t visits = 0;     ///< Serves while unsplit.
+            bool split = false; ///< Serves descend into `refined`.
+        };
         struct LeafState
         {
             AdaptiveAngleGrid::Leaf leaf;
@@ -349,8 +343,20 @@ class ServingPlan
         /** The axis's relabeled local rotation (angle rebound per
          * representative when synthesizing leaves). */
         Circuit gate;
-        /** Served leaves by AdaptiveAngleGrid::leafKey. */
-        std::unordered_map<std::uint64_t, LeafState> leaves;
+        /** Indexed by angleBin(): an unsplit bin needs no hashing. */
+        std::vector<CoarseBin> coarse;
+        /** Leaves below split bins, by AdaptiveAngleGrid::leafKey. */
+        std::unordered_map<std::uint64_t, LeafState> refined;
+    };
+
+    struct PlanSegment
+    {
+        bool fixed = true;
+        /** Fixed path: pre-fingerprinted local blocks. */
+        std::vector<FixedEntry> blocks;
+        /** Lookup path: the symbolic rotation, relabeled local. */
+        Circuit gate;
+        std::shared_ptr<QuantizedAxis> axis; ///< Null unless quantized.
     };
 
     std::vector<PlanSegment> segments_;
@@ -360,18 +366,11 @@ class ServingPlan
     ParamQuantization quant_;
     /** Calibration epoch captured at prepareServing() time. */
     CalibrationEpoch epoch_;
-    /**
-     * Iteration-invariant half of the quantized path: the content
-     * address of every grid bin's snapped rotation, per axis, computed
-     * once at prepareServing() so serve() never re-derives a
-     * fingerprint (hashing the snapped unitary per iteration would
-     * cost more than the exact analytic lookup it replaces).
-     */
-    std::map<GateKind, std::vector<BlockFingerprint>> binTables_;
-    /** Adaptive refinement state per axis (empty unless adaptive);
-     * coarse leaves are seeded from binTables_, so an unsplit leaf
-     * serves the very same cache entry as the fixed grid. */
-    std::map<GateKind, std::shared_ptr<AdaptiveAxis>> adaptiveAxes_;
+    /** One axis per quantized rotation kind (empty when quantization
+     * is off). Coarse fingerprints are minted once at prepare time:
+     * hashing a snapped unitary per serve would cost more than the
+     * exact lookup it replaces. */
+    std::map<GateKind, std::shared_ptr<QuantizedAxis>> axes_;
 };
 
 /**
@@ -476,18 +475,21 @@ class CompileService
      */
     RefinementReport refineQuantizedGrid(const ServingPlan& plan);
 
-    /** Snapshot of a plan's adaptive grids (zeros unless adaptive). */
+    /** Snapshot of a plan's quantized grids: a plan that never
+     * refined reports bins x axes leaves and no splits; zeros when
+     * quantization is off. */
     AdaptiveGridStats quantizedGridStats(const ServingPlan& plan) const;
 
     /**
      * The full-circuit binding the plan's served pulses actually
      * realize: each symbolic rotation snapped to its current grid
-     * representative when the per-gate budget admits it (adaptive
-     * leaves included), exact otherwise — what a driver must simulate
-     * so reported energies honestly carry the grid error. Mirrors
-     * serve()'s per-gate decisions; falls back to
-     * snapSymbolicRotations() for non-adaptive plans. Does not count
-     * grid visits (only serve() feeds refinement).
+     * representative when the per-gate budget admits it (refined
+     * leaves included), exact otherwise or when quantization is off —
+     * what a driver must simulate so reported energies honestly carry
+     * the grid error. Mirrors serve()'s per-gate decisions; on a plan
+     * that never refined it equals snapSymbolicRotations()
+     * bit-for-bit. Does not count grid visits (only serve() feeds
+     * refinement).
      */
     Circuit snapServedRotations(const ServingPlan& plan,
                                 const Circuit& symbolic,

@@ -747,9 +747,12 @@ CompileServer::handleRequest(Session& session,
                      phases->breakdown().summary());
             }
         }
+        // Egress is billed for the pulse bytes the reply carries: a
+        // metadata-only reply carries none.
         std::uint64_t bytes = 0;
-        for (const PulsePtr& segment : served.segments)
-            bytes += segment->serializedBytes();
+        if (want_pulses)
+            for (const PulsePtr& segment : served.segments)
+                bytes += segment->serializedBytes();
         tenant->serves->inc();
         tenant->serveHits->inc(served.cacheHits + served.quantHits);
         tenant->serveMisses->inc(served.cacheMisses +

@@ -59,7 +59,7 @@ struct TenantQuota
      * Lifetime cap on serialized pulse bytes served to the tenant
      * (0 = unlimited): the egress half of cache-budget attribution,
      * so one hot tenant cannot monopolize the shared compile
-     * capacity unmetered.
+     * capacity unmetered. Only replies that carry pulses are billed.
      */
     std::uint64_t maxServedBytes = 0;
     /** Concurrent bulk (Prewarm) requests a tenant may run. */

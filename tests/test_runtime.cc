@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <future>
 #include <thread>
@@ -12,6 +15,7 @@
 #include "partial/compiler.h"
 #include "partial/strict.h"
 #include "pulse/evolve.h"
+#include "pulse/serialize.h"
 #include "qaoa/qaoacircuit.h"
 #include "qaoa/qaoadriver.h"
 #include "qaoa/graph.h"
@@ -23,22 +27,6 @@
 #include "vqe/hamiltonian.h"
 #include "vqe/molecule.h"
 #include "vqe/uccsd.h"
-
-namespace qpc {
-
-/** Friend seam declared by ServingPlan: regression tests corrupt plan
- * internals to prove serve() fails loudly instead of reading out of
- * bounds. */
-struct ServingPlanTestPeer
-{
-    static void
-    setQuantizationBins(ServingPlan& plan, int bins)
-    {
-        plan.quant_.bins = bins;
-    }
-};
-
-} // namespace qpc
 
 namespace {
 
@@ -1170,35 +1158,6 @@ TEST(Service, ExactRotationServesCountInServiceStats)
 }
 
 // ---------------------------------------------------------------------
-// Bin-table consistency (regression)
-// ---------------------------------------------------------------------
-
-TEST(ServiceDeathTest, MismatchedBinTablePanics)
-{
-    // Regression: serve() used to index the per-axis bin table with
-    // the bin computed from ParamQuantization::bins without checking
-    // the table's size — a plan whose quantization config disagrees
-    // with its tables read out of bounds instead of failing loudly.
-    CompileServiceOptions options;
-    options.numWorkers = 1;
-    options.lookupDt = 0.5;
-    options.quantization.enabled = true;
-    options.quantization.bins = 64;
-    CompileService service(options);
-
-    Circuit templ(1);
-    templ.rz(0, ParamExpr::theta(0));
-    ServingPlan plan =
-        service.prepareServing(strictPartition(templ));
-    // Corrupt the plan: double the bin count its tables were built
-    // for. Serving must panic on the size mismatch, not read past
-    // the 64-entry table with a bin in [0, 128).
-    ServingPlanTestPeer::setQuantizationBins(plan, 128);
-    EXPECT_DEATH(service.serve(plan, {3.0}),
-                 "disagrees with ParamQuantization::bins");
-}
-
-// ---------------------------------------------------------------------
 // Adaptive grid refinement
 // ---------------------------------------------------------------------
 
@@ -1228,6 +1187,31 @@ TEST(ServiceDeathTest, RejectsRefineDepthPastTheGridCap)
         AdaptiveAngleGrid::kMaxDepth + 1;
     EXPECT_DEATH({ CompileService service(options); },
                  "refine depth");
+}
+
+TEST(ServiceDeathTest, RejectsBinCountPastTheKeySpace)
+{
+    // The grid's packed leaf key holds 24 bits of coarse bin. Every
+    // quantized config, refining or not, is refused the same way: at
+    // construction, and for a per-plan override at prepareServing.
+    for (const bool adaptive : {false, true}) {
+        ParamQuantization quantization = adaptiveQuantization(16, 4);
+        quantization.adaptive = adaptive;
+        quantization.bins = AdaptiveAngleGrid::kMaxBaseBins;
+        CompileServiceOptions options;
+        options.quantization = quantization;
+        EXPECT_DEATH({ CompileService service(options); }, "bin count");
+
+        Circuit templ(1);
+        templ.rz(0, ParamExpr::theta(0));
+        EXPECT_DEATH(
+            {
+                CompileService service(CompileServiceOptions{});
+                service.prepareServing(strictPartition(templ),
+                                       quantization);
+            },
+            "bin count");
+    }
 }
 
 TEST(Service, AdaptiveRefinementServesFinerRepresentatives)
@@ -1312,6 +1296,134 @@ TEST(Service, AdaptiveCoarseLeavesDedupeAgainstPrewarmedGrid)
         EXPECT_EQ(served.quantHits, 1u);
     }
     EXPECT_EQ(synth.runs.load(), warm_runs);
+}
+
+TEST(Service, FixedAndUnrefinedAdaptivePlansServeIdentically)
+{
+    // A fixed grid is the adaptive grid with refinement off: until a
+    // bin splits, both configs must serve the same cached pulses with
+    // the same bound, and simulate exactly the reference snap — over
+    // wrapped spellings of the angles and bindings whose snap
+    // overdraws the per-gate budget (served exactly).
+    CompileServiceOptions options;
+    options.numWorkers = 2;
+    options.lookupDt = 0.5;
+    options.cache.capacity = 8192;
+    CompileService service(options);
+
+    Circuit templ(2);
+    templ.h(0);
+    templ.cx(0, 1);
+    templ.rz(1, ParamExpr::theta(0));
+    templ.rx(0, ParamExpr::theta(1, -0.5, 0.3));
+    templ.cx(0, 1);
+    templ.ry(1, ParamExpr::theta(0, 2.0));
+    templ.rz(0, ParamExpr::theta(2, 1.0, -1.0));
+    templ.h(1);
+    const StrictPartition partition = strictPartition(templ);
+
+    // Budget below the coarse worst case (step / 4 ~ 0.0245): roughly
+    // two snaps in five fall back to exact synthesis.
+    ParamQuantization fixed_grid = adaptiveQuantization(64, 1, 0.015);
+    fixed_grid.adaptive = false;
+    const ParamQuantization adaptive_grid =
+        adaptiveQuantization(64, 1, 0.015);
+    const ServingPlan fixed = service.prepareServing(partition, fixed_grid);
+    const ServingPlan adaptive =
+        service.prepareServing(partition, adaptive_grid);
+
+    const auto sameBits = [](double a, double b) {
+        return std::memcmp(&a, &b, sizeof a) == 0;
+    };
+    Rng rng(91);
+    uint64_t quantized = 0, exact = 0;
+    for (int i = 0; i < 150; ++i) {
+        std::vector<double> theta = rng.angles(3);
+        // Every other binding respells its angles k turns away.
+        if (i % 2)
+            for (double& t : theta)
+                t += 2.0 * M_PI * rng.randint(-3, 3);
+
+        const Circuit reference =
+            snapSymbolicRotations(templ, theta, fixed_grid);
+        for (const ServingPlan* plan : {&fixed, &adaptive}) {
+            const Circuit served =
+                service.snapServedRotations(*plan, templ, theta);
+            ASSERT_EQ(served.size(), reference.size());
+            for (int k = 0; k < served.size(); ++k) {
+                const GateOp& x = served.ops()[k];
+                const GateOp& y = reference.ops()[k];
+                EXPECT_EQ(x.kind, y.kind);
+                EXPECT_EQ(x.angle.index, y.angle.index);
+                EXPECT_TRUE(sameBits(x.angle.offset, y.angle.offset))
+                    << "binding " << i << " op " << k;
+            }
+        }
+
+        const ServedPulse a = service.serve(fixed, theta);
+        const ServedPulse b = service.serve(adaptive, theta);
+        EXPECT_TRUE(sameBits(a.quantErrorBound, b.quantErrorBound));
+        EXPECT_EQ(a.quantFallbacks, b.quantFallbacks);
+        EXPECT_EQ(a.exactServes, b.exactServes);
+        ASSERT_EQ(a.segments.size(), b.segments.size());
+        // Cached segments are the same pulse object; only per-binding
+        // exact syntheses are fresh (and then identical in content).
+        uint64_t fresh = 0;
+        for (std::size_t k = 0; k < a.segments.size(); ++k) {
+            if (a.segments[k] == b.segments[k])
+                continue;
+            ++fresh;
+            EXPECT_EQ(serializePulseSchedule(*a.segments[k]),
+                      serializePulseSchedule(*b.segments[k]));
+        }
+        EXPECT_EQ(fresh, a.exactServes);
+
+        // And both match the reference grid: the bound and fallbacks
+        // it implies, and the cached pulse of each snapped rotation.
+        double bound = 0.0;
+        uint64_t fallbacks = 0;
+        for (const GateOp& op : templ.ops()) {
+            if (!op.angle.isSymbolic())
+                continue;
+            const double angle = op.angle.bind(theta);
+            const double snap_bound =
+                quantizationErrorBound(snapDelta(angle, fixed_grid.bins));
+            if (snap_bound > fixed_grid.fidelityBudget) {
+                ++fallbacks;
+                continue;
+            }
+            bound += snap_bound;
+            Circuit local(1);
+            GateOp snapped = op;
+            snapped.q0 = 0;
+            snapped.angle =
+                ParamExpr::constant(snapAngle(angle, fixed_grid.bins));
+            local.add(snapped);
+            const PulsePtr expected = service.requestBlock(local).get();
+            EXPECT_NE(std::find(a.segments.begin(), a.segments.end(),
+                                expected),
+                      a.segments.end());
+        }
+        EXPECT_DOUBLE_EQ(a.quantErrorBound, bound);
+        EXPECT_EQ(a.quantFallbacks, fallbacks);
+        quantized += a.quantHits + a.quantMisses;
+        exact += a.quantFallbacks;
+    }
+    // Both sides of the budget were exercised.
+    EXPECT_GT(quantized, 0u);
+    EXPECT_GT(exact, 0u);
+
+    // Serving fed visits but nothing refined: both report the uniform
+    // grid, one axis per rotation kind.
+    for (const ServingPlan* plan : {&fixed, &adaptive}) {
+        const AdaptiveGridStats grid = service.quantizedGridStats(*plan);
+        EXPECT_EQ(grid.axes, 3);
+        EXPECT_EQ(grid.leaves, 3u * 64u);
+        EXPECT_EQ(grid.splits, 0u);
+        EXPECT_EQ(grid.maxDepth, 0);
+        EXPECT_DOUBLE_EQ(grid.worstCaseBound,
+                         fixed_grid.stepRadians() / 4.0);
+    }
 }
 
 TEST(Service, AdaptiveRefinementRespectsDepthAndLeafCaps)
@@ -1450,66 +1562,75 @@ TEST(Service, AdaptiveServeDuringRefinementStress)
 {
     // The TSan-lane stress: drivers hammer serve() on a plan while
     // another thread refines it in place. Topology handoff must be
-    // race-free and every serve must resolve a complete pulse.
-    CountingSynth synth;
-    CompileServiceOptions options;
-    options.numWorkers = 4;
-    options.synthesizer = synth.make();
-    options.cache.capacity = 8192;
-    options.quantization = adaptiveQuantization(64, 2, 1.0);
-    CompileService service(options);
+    // race-free and every serve must resolve a complete pulse. The
+    // fixed config serves through the same axis lock; its refinement
+    // rounds are no-ops.
+    for (const bool adaptive : {true, false}) {
+        SCOPED_TRACE(adaptive ? "adaptive" : "fixed");
+        CountingSynth synth;
+        CompileServiceOptions options;
+        options.numWorkers = 4;
+        options.synthesizer = synth.make();
+        options.cache.capacity = 8192;
+        options.quantization = adaptiveQuantization(64, 2, 1.0);
+        options.quantization.adaptive = adaptive;
+        CompileService service(options);
 
-    Circuit templ(1);
-    templ.rz(0, ParamExpr::theta(0));
-    const ServingPlan plan =
-        service.prepareServing(strictPartition(templ));
+        Circuit templ(1);
+        templ.rz(0, ParamExpr::theta(0));
+        const ServingPlan plan =
+            service.prepareServing(strictPartition(templ));
 
-    constexpr int kThreads = 4;
-    constexpr int kServesPerThread = 60;
-    std::atomic<uint64_t> served_rotations{0};
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> drivers;
-    drivers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t)
-        drivers.emplace_back([&service, &plan, &served_rotations, t] {
-            Rng rng(400 + t);
-            for (int i = 0; i < kServesPerThread; ++i) {
-                // Cluster around a few centers so leaves go hot and
-                // refinement races the serves that feed it.
-                const double center = 0.9 * (t % 2 ? 1.0 : -1.0);
-                const ServedPulse served = service.serve(
-                    plan, {center + 0.1 * rng.uniform(-1.0, 1.0)});
-                ASSERT_EQ(served.segments.size(), 1u);
-                ASSERT_NE(served.segments.front(), nullptr);
-                served_rotations.fetch_add(served.quantHits +
-                                           served.quantMisses +
-                                           served.quantFallbacks);
+        constexpr int kThreads = 4;
+        constexpr int kServesPerThread = 60;
+        std::atomic<uint64_t> served_rotations{0};
+        std::atomic<bool> stop{false};
+        std::vector<std::thread> drivers;
+        drivers.reserve(kThreads);
+        for (int t = 0; t < kThreads; ++t)
+            drivers.emplace_back([&service, &plan, &served_rotations, t] {
+                Rng rng(400 + t);
+                for (int i = 0; i < kServesPerThread; ++i) {
+                    // Cluster around a few centers so leaves go hot
+                    // and refinement races the serves that feed it.
+                    const double center = 0.9 * (t % 2 ? 1.0 : -1.0);
+                    const ServedPulse served = service.serve(
+                        plan, {center + 0.1 * rng.uniform(-1.0, 1.0)});
+                    ASSERT_EQ(served.segments.size(), 1u);
+                    ASSERT_NE(served.segments.front(), nullptr);
+                    served_rotations.fetch_add(served.quantHits +
+                                               served.quantMisses +
+                                               served.quantFallbacks);
+                }
+            });
+        std::thread refiner([&service, &plan, &stop] {
+            while (!stop.load()) {
+                service.refineQuantizedGrid(plan);
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
             }
         });
-    std::thread refiner([&service, &plan, &stop] {
-        while (!stop.load()) {
-            service.refineQuantizedGrid(plan);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-    });
-    for (std::thread& d : drivers)
-        d.join();
-    stop.store(true);
-    refiner.join();
-    // The storm may outrun the refiner's first round entirely; one
-    // deterministic final round guarantees the hot leaves split so
-    // the topology assertions below are meaningful.
-    service.refineQuantizedGrid(plan);
+        for (std::thread& d : drivers)
+            d.join();
+        stop.store(true);
+        refiner.join();
+        // The storm may outrun the refiner's first round entirely; one
+        // deterministic final round guarantees the hot leaves split so
+        // the topology assertions below are meaningful.
+        service.refineQuantizedGrid(plan);
 
-    // Every rotation serve resolved through the quantized path.
-    EXPECT_EQ(served_rotations.load(),
-              static_cast<uint64_t>(kThreads * kServesPerThread));
-    const AdaptiveGridStats grid = service.quantizedGridStats(plan);
-    EXPECT_EQ(grid.leaves, 64u + grid.splits);
-    EXPECT_GT(grid.splits, 0u);
-    // The plan still serves correctly after the storm.
-    const ServedPulse after = service.serve(plan, {0.9});
-    EXPECT_EQ(after.segments.size(), 1u);
+        // Every rotation serve resolved through the quantized path.
+        EXPECT_EQ(served_rotations.load(),
+                  static_cast<uint64_t>(kThreads * kServesPerThread));
+        const AdaptiveGridStats grid = service.quantizedGridStats(plan);
+        EXPECT_EQ(grid.leaves, 64u + grid.splits);
+        if (adaptive)
+            EXPECT_GT(grid.splits, 0u);
+        else
+            EXPECT_EQ(grid.splits, 0u);
+        // The plan still serves correctly after the storm.
+        const ServedPulse after = service.serve(plan, {0.9});
+        EXPECT_EQ(after.segments.size(), 1u);
+    }
 }
 
 TEST(Service, VqeDriverAdaptiveRefinesOnConvergence)

@@ -597,7 +597,7 @@ TEST(Server, PlanQuotaRejectsWithoutKillingTheSession)
 TEST(Server, ServedBytesQuotaCapsEgress)
 {
     TenantQuota quota;
-    quota.maxServedBytes = 1; // First serve exhausts it.
+    quota.maxServedBytes = 1; // First pulse-carrying serve exhausts it.
     ServerHarness harness(quota);
     CompileClient client;
     ASSERT_TRUE(client.connectUnix(harness.socket()));
@@ -605,7 +605,24 @@ TEST(Server, ServedBytesQuotaCapsEgress)
     const auto prepared = client.prepareServing(paramTemplate());
     ASSERT_TRUE(prepared.has_value());
 
-    ASSERT_TRUE(client.serve(prepared->planId, {0.1, 0.2}).has_value());
+    // Metadata-only replies carry no pulse bytes: nothing is billed,
+    // so they never exhaust the quota.
+    const auto servedBytes = [&client] {
+        const std::optional<MetricsSnapshot> metrics = client.metrics();
+        const std::uint64_t* bytes =
+            metrics ? metrics->counter(
+                          "qpc_tenant_served_bytes_total{tenant=\"metered\"}")
+                    : nullptr;
+        EXPECT_NE(bytes, nullptr);
+        return bytes ? *bytes : ~std::uint64_t{0};
+    };
+    for (int i = 0; i < 3; ++i)
+        ASSERT_TRUE(client.serve(prepared->planId, {0.1, 0.2 * i}));
+    EXPECT_EQ(servedBytes(), 0u);
+
+    ASSERT_TRUE(
+        client.serve(prepared->planId, {0.1, 0.2}, true).has_value());
+    EXPECT_GT(servedBytes(), 0u);
     EXPECT_FALSE(
         client.serve(prepared->planId, {0.3, 0.4}).has_value());
     EXPECT_EQ(client.lastErrorCode(), WireError::QuotaExceeded);
