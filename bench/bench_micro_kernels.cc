@@ -147,41 +147,15 @@ benchKernels()
             }));
     }
 
-    // --- gemv, 256x256 --------------------------------------------
+    // --- dotc over 1024 planar elements (L1-resident: the GRAPE
+    // overlap and statevector inner products live at these sizes, and
+    // L2 bandwidth would otherwise cap both sides) ------------------
     {
-        const int n = 256;
-        kernels::SoaMatrix a(n, n);
-        a.pack(haarUnitary(n, rng));
+        const std::size_t n = 1024;
         // 32-byte-aligned planar operands, as the production call
         // sites hold (SoaMatrix scratch). std::vector<double> is only
         // 16-byte aligned, and the resulting split 32-byte load every
         // other cache line taxes the vector side alone.
-        kernels::SoaMatrix xv(1, n), yv(1, n);
-        double* xre = xv.re();
-        double* xim = xv.im();
-        double* yre = yv.re();
-        double* yim = yv.im();
-        for (int i = 0; i < n; ++i) {
-            xre[i] = rng.uniform(-1.0, 1.0);
-            xim[i] = rng.uniform(-1.0, 1.0);
-        }
-        add("gemv256",
-            nsPerOp([&] {
-                kernels::gemvScalar(yre, yim, a, xre, xim);
-                clobber(yre);
-            }),
-            nsPerOp([&] {
-                kernels::gemv(yre, yim, a, xre, xim);
-                clobber(yre);
-            }));
-    }
-
-    // --- axpy / dotc / dotu over 1024 planar elements (L1-resident:
-    // the GRAPE overlap and statevector inner products live at these
-    // sizes, and L2 bandwidth would otherwise cap both sides) -------
-    {
-        const std::size_t n = 1024;
-        // Aligned planar buffers, same rationale as the gemv block.
         kernels::SoaMatrix xv(1, static_cast<int>(n));
         kernels::SoaMatrix yv(1, static_cast<int>(n));
         double* xre = xv.re();
@@ -194,16 +168,6 @@ benchKernels()
             yre[i] = rng.uniform(-1.0, 1.0);
             yim[i] = rng.uniform(-1.0, 1.0);
         }
-        const Complex alpha{0.6, -0.8};
-        add("axpy1024",
-            nsPerOp([&] {
-                kernels::axpyScalar(alpha, xre, xim, yre, yim, n);
-                clobber(yre);
-            }),
-            nsPerOp([&] {
-                kernels::axpy(alpha, xre, xim, yre, yim, n);
-                clobber(yre);
-            }));
         add("dotc1024",
             nsPerOp([&] {
                 const Complex d =
@@ -214,17 +178,6 @@ benchKernels()
                 const Complex d = kernels::dotc(xre, xim, yre, yim, n);
                 clobber(&d);
             }));
-        add("dotu1024",
-            nsPerOp([&] {
-                const Complex d =
-                    kernels::dotuScalar(xre, xim, yre, yim, n);
-                clobber(&d);
-            }),
-            nsPerOp([&] {
-                const Complex d = kernels::dotu(xre, xim, yre, yim, n);
-                clobber(&d);
-            }));
-
         // What the production swap actually bought at the GRAPE
         // overlap and statevector inner-product call sites: the
         // pre-kernels code walked interleaved std::complex arrays
@@ -249,17 +202,6 @@ benchKernels()
             }),
             nsPerOp([&] {
                 const Complex d = kernels::dotc(xre, xim, yre, yim, n);
-                clobber(&d);
-            }));
-        add("dotu1024_aos",
-            nsPerOp([&] {
-                Complex acc{0.0, 0.0};
-                for (std::size_t i = 0; i < n; ++i)
-                    acc += xa[i] * ya[i];
-                clobber(&acc);
-            }),
-            nsPerOp([&] {
-                const Complex d = kernels::dotu(xre, xim, yre, yim, n);
                 clobber(&d);
             }));
     }

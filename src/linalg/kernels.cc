@@ -6,11 +6,11 @@
  * and its `...Scalar` reference perform identical floating-point
  * operations on identical elements in identical order. Concretely:
  *
- *  - elementwise kernels (gemm, axpy, scaleColumns, gate applies)
+ *  - elementwise kernels (gemm, scaleColumns, gate applies)
  *    accumulate each output element with the same mul/add/sub
  *    sequence — the vector path merely computes four output elements
  *    per instruction;
- *  - reduction kernels (dot products, gemv rows) accumulate into four
+ *  - reduction kernels (dot products) accumulate into four
  *    lane-striped partial sums (lane j takes elements i with
  *    i % 4 == j), combine them as (l0+l2) + (l1+l3) — exactly the
  *    AVX2 horizontal-sum order — and fold any tail in sequentially
@@ -300,40 +300,8 @@ gemm(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b)
 }
 
 // ---------------------------------------------------------------------------
-// gemv (row dot products, 8-lane striped reduction — see
-// dotPlanarScalar for why eight stripes)
+// Shared AVX2 helpers
 // ---------------------------------------------------------------------------
-
-void
-gemvScalar(double* yre, double* yim, const SoaMatrix& a,
-           const double* xre, const double* xim)
-{
-    const int n = a.rows(), m = a.cols();
-    const int m8 = m & ~7;
-    for (int i = 0; i < n; ++i) {
-        const double* ar = a.re() + static_cast<std::size_t>(i) * m;
-        const double* ai = a.im() + static_cast<std::size_t>(i) * m;
-        double rr[8] = {};
-        double ri[8] = {};
-        for (int j = 0; j < m8; ++j) {
-            const int lane = j & 7;
-            rr[lane] = rr[lane] + (ar[j] * xre[j] - ai[j] * xim[j]);
-            ri[lane] = ri[lane] + (ar[j] * xim[j] + ai[j] * xre[j]);
-        }
-        const double tr[4] = {rr[0] + rr[4], rr[1] + rr[5],
-                              rr[2] + rr[6], rr[3] + rr[7]};
-        const double ti[4] = {ri[0] + ri[4], ri[1] + ri[5],
-                              ri[2] + ri[6], ri[3] + ri[7]};
-        double sr = (tr[0] + tr[2]) + (tr[1] + tr[3]);
-        double si = (ti[0] + ti[2]) + (ti[1] + ti[3]);
-        for (int j = m8; j < m; ++j) {
-            sr = sr + (ar[j] * xre[j] - ai[j] * xim[j]);
-            si = si + (ar[j] * xim[j] + ai[j] * xre[j]);
-        }
-        yre[i] = sr;
-        yim[i] = si;
-    }
-}
 
 #if QPC_KERNELS_X86
 
@@ -372,176 +340,29 @@ store4c(double* p, __m256d re, __m256d im)
     _mm256_storeu_pd(p + 4, _mm256_permute2f128_pd(t0, t1, 0x31));
 }
 
-QPC_AVX2 void
-gemvAvx2(double* yre, double* yim, const SoaMatrix& a, const double* xre,
-         const double* xim)
-{
-    const int n = a.rows(), m = a.cols();
-    const int m8 = m & ~7;
-    for (int i = 0; i < n; ++i) {
-        const double* ar = a.re() + static_cast<std::size_t>(i) * m;
-        const double* ai = a.im() + static_cast<std::size_t>(i) * m;
-        __m256d rr0 = _mm256_setzero_pd(), rr1 = _mm256_setzero_pd();
-        __m256d ri0 = _mm256_setzero_pd(), ri1 = _mm256_setzero_pd();
-        // Group-at-a-time with explicit product temps, for the same
-        // register-pressure reason as dotPlanarAvx2: one load per
-        // stream per group instead of GCC re-folding them into
-        // two-per-stream memory operands.
-        for (int j = 0; j < m8; j += 8) {
-            {
-                const __m256d vr = _mm256_loadu_pd(ar + j);
-                const __m256d vi = _mm256_loadu_pd(ai + j);
-                const __m256d wr = _mm256_loadu_pd(xre + j);
-                const __m256d wi = _mm256_loadu_pd(xim + j);
-                const __m256d prr = _mm256_mul_pd(vr, wr);
-                const __m256d pii = _mm256_mul_pd(vi, wi);
-                const __m256d pri = _mm256_mul_pd(vr, wi);
-                const __m256d pir = _mm256_mul_pd(vi, wr);
-                rr0 = _mm256_add_pd(rr0, _mm256_sub_pd(prr, pii));
-                ri0 = _mm256_add_pd(ri0, _mm256_add_pd(pri, pir));
-            }
-            {
-                const __m256d vr = _mm256_loadu_pd(ar + j + 4);
-                const __m256d vi = _mm256_loadu_pd(ai + j + 4);
-                const __m256d wr = _mm256_loadu_pd(xre + j + 4);
-                const __m256d wi = _mm256_loadu_pd(xim + j + 4);
-                const __m256d prr = _mm256_mul_pd(vr, wr);
-                const __m256d pii = _mm256_mul_pd(vi, wi);
-                const __m256d pri = _mm256_mul_pd(vr, wi);
-                const __m256d pir = _mm256_mul_pd(vi, wr);
-                rr1 = _mm256_add_pd(rr1, _mm256_sub_pd(prr, pii));
-                ri1 = _mm256_add_pd(ri1, _mm256_add_pd(pri, pir));
-            }
-        }
-        double sr = hsum(_mm256_add_pd(rr0, rr1));
-        double si = hsum(_mm256_add_pd(ri0, ri1));
-        for (int j = m8; j < m; ++j) {
-            sr = sr + (ar[j] * xre[j] - ai[j] * xim[j]);
-            si = si + (ar[j] * xim[j] + ai[j] * xre[j]);
-        }
-        yre[i] = sr;
-        yim[i] = si;
-    }
-}
-
 } // namespace
 
 #endif
 
-void
-gemv(double* yre, double* yim, const SoaMatrix& a, const double* xre,
-     const double* xim)
-{
-#if QPC_KERNELS_X86
-    if (useAvx2())
-        return gemvAvx2(yre, yim, a, xre, xim);
-#endif
-    gemvScalar(yre, yim, a, xre, xim);
-}
-
 // ---------------------------------------------------------------------------
-// axpy
+// dotc (planar)
 // ---------------------------------------------------------------------------
 
-void
-axpyScalar(Complex alpha, const double* xre, const double* xim,
-           double* yre, double* yim, std::size_t n)
-{
-    const double ar = alpha.real();
-    const double ai = alpha.imag();
-    for (std::size_t i = 0; i < n; ++i) {
-        double tr = yre[i];
-        double ti = yim[i];
-        tr = tr + ar * xre[i];
-        tr = tr - ai * xim[i];
-        ti = ti + ar * xim[i];
-        ti = ti + ai * xre[i];
-        yre[i] = tr;
-        yim[i] = ti;
-    }
-}
-
-#if QPC_KERNELS_X86
-
-namespace {
-
-QPC_AVX2 void
-axpyAvx2(Complex alpha, const double* xre, const double* xim, double* yre,
-     double* yim, std::size_t n)
-{
-    const double ar = alpha.real();
-    const double ai = alpha.imag();
-    const __m256d var = _mm256_set1_pd(ar);
-    const __m256d vai = _mm256_set1_pd(ai);
-    const std::size_t n4 = n & ~std::size_t{3};
-    std::size_t i = 0;
-    for (; i < n4; i += 4) {
-        const __m256d vxr = _mm256_loadu_pd(xre + i);
-        const __m256d vxi = _mm256_loadu_pd(xim + i);
-        __m256d tr = _mm256_loadu_pd(yre + i);
-        __m256d ti = _mm256_loadu_pd(yim + i);
-        tr = _mm256_add_pd(tr, _mm256_mul_pd(var, vxr));
-        tr = _mm256_sub_pd(tr, _mm256_mul_pd(vai, vxi));
-        ti = _mm256_add_pd(ti, _mm256_mul_pd(var, vxi));
-        ti = _mm256_add_pd(ti, _mm256_mul_pd(vai, vxr));
-        _mm256_storeu_pd(yre + i, tr);
-        _mm256_storeu_pd(yim + i, ti);
-    }
-    for (; i < n; ++i) {
-        double tr = yre[i];
-        double ti = yim[i];
-        tr = tr + ar * xre[i];
-        tr = tr - ai * xim[i];
-        ti = ti + ar * xim[i];
-        ti = ti + ai * xre[i];
-        yre[i] = tr;
-        yim[i] = ti;
-    }
-}
-
-} // namespace
-
-#endif
-
-void
-axpy(Complex alpha, const double* xre, const double* xim, double* yre,
-     double* yim, std::size_t n)
-{
-#if QPC_KERNELS_X86
-    if (useAvx2())
-        return axpyAvx2(alpha, xre, xim, yre, yim, n);
-#endif
-    axpyScalar(alpha, xre, xim, yre, yim, n);
-}
-
-// ---------------------------------------------------------------------------
-// dot products (planar)
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/** Shared scalar body for the planar dots; Conj flips the sign
- * conventions to match conj(x) * y. Eight accumulator stripes (lane
- * j takes elements i % 8 == j): the AVX2 side needs two independent
- * vector accumulators to break the add-latency chain, and the mirror
- * must reduce in exactly the same shape to stay bit-identical. */
-template <bool Conj>
 Complex
-dotPlanarScalar(const double* xre, const double* xim, const double* yre,
-                const double* yim, std::size_t n)
+dotcScalar(const double* xre, const double* xim, const double* yre,
+           const double* yim, std::size_t n)
 {
+    // Eight accumulator stripes (lane j takes elements i % 8 == j):
+    // the AVX2 side needs two independent vector accumulators to break
+    // the add-latency chain, and the mirror must reduce in exactly the
+    // same shape to stay bit-identical.
     const std::size_t n8 = n & ~std::size_t{7};
     double rr[8] = {};
     double ri[8] = {};
     for (std::size_t i = 0; i < n8; ++i) {
         const std::size_t lane = i & 7;
-        if (Conj) {
-            rr[lane] = rr[lane] + (xre[i] * yre[i] + xim[i] * yim[i]);
-            ri[lane] = ri[lane] + (xre[i] * yim[i] - xim[i] * yre[i]);
-        } else {
-            rr[lane] = rr[lane] + (xre[i] * yre[i] - xim[i] * yim[i]);
-            ri[lane] = ri[lane] + (xre[i] * yim[i] + xim[i] * yre[i]);
-        }
+        rr[lane] = rr[lane] + (xre[i] * yre[i] + xim[i] * yim[i]);
+        ri[lane] = ri[lane] + (xre[i] * yim[i] - xim[i] * yre[i]);
     }
     // Pairwise lane merge (vector add of the two accumulators), then
     // the hsum() order: (l0 + l2) + (l1 + l3).
@@ -552,23 +373,19 @@ dotPlanarScalar(const double* xre, const double* xim, const double* yre,
     double sr = (tr[0] + tr[2]) + (tr[1] + tr[3]);
     double si = (ti[0] + ti[2]) + (ti[1] + ti[3]);
     for (std::size_t i = n8; i < n; ++i) {
-        if (Conj) {
-            sr = sr + (xre[i] * yre[i] + xim[i] * yim[i]);
-            si = si + (xre[i] * yim[i] - xim[i] * yre[i]);
-        } else {
-            sr = sr + (xre[i] * yre[i] - xim[i] * yim[i]);
-            si = si + (xre[i] * yim[i] + xim[i] * yre[i]);
-        }
+        sr = sr + (xre[i] * yre[i] + xim[i] * yim[i]);
+        si = si + (xre[i] * yim[i] - xim[i] * yre[i]);
     }
     return Complex{sr, si};
 }
 
 #if QPC_KERNELS_X86
 
-template <bool Conj>
+namespace {
+
 QPC_AVX2 Complex
-dotPlanarAvx2(const double* xre, const double* xim, const double* yre,
-              const double* yim, std::size_t n)
+dotcAvx2(const double* xre, const double* xim, const double* yre,
+         const double* yim, std::size_t n)
 {
     const std::size_t n8 = n & ~std::size_t{7};
     // Two accumulator pairs: a single pair is bound by the two
@@ -591,13 +408,8 @@ dotPlanarAvx2(const double* xre, const double* xim, const double* yre,
             const __m256d pii = _mm256_mul_pd(xi, yi);
             const __m256d pri = _mm256_mul_pd(xr, yi);
             const __m256d pir = _mm256_mul_pd(xi, yr);
-            if (Conj) {
-                rr0 = _mm256_add_pd(rr0, _mm256_add_pd(prr, pii));
-                ri0 = _mm256_add_pd(ri0, _mm256_sub_pd(pri, pir));
-            } else {
-                rr0 = _mm256_add_pd(rr0, _mm256_sub_pd(prr, pii));
-                ri0 = _mm256_add_pd(ri0, _mm256_add_pd(pri, pir));
-            }
+            rr0 = _mm256_add_pd(rr0, _mm256_add_pd(prr, pii));
+            ri0 = _mm256_add_pd(ri0, _mm256_sub_pd(pri, pir));
         }
         {
             const __m256d xr = _mm256_loadu_pd(xre + i + 4);
@@ -608,46 +420,22 @@ dotPlanarAvx2(const double* xre, const double* xim, const double* yre,
             const __m256d pii = _mm256_mul_pd(xi, yi);
             const __m256d pri = _mm256_mul_pd(xr, yi);
             const __m256d pir = _mm256_mul_pd(xi, yr);
-            if (Conj) {
-                rr1 = _mm256_add_pd(rr1, _mm256_add_pd(prr, pii));
-                ri1 = _mm256_add_pd(ri1, _mm256_sub_pd(pri, pir));
-            } else {
-                rr1 = _mm256_add_pd(rr1, _mm256_sub_pd(prr, pii));
-                ri1 = _mm256_add_pd(ri1, _mm256_add_pd(pri, pir));
-            }
+            rr1 = _mm256_add_pd(rr1, _mm256_add_pd(prr, pii));
+            ri1 = _mm256_add_pd(ri1, _mm256_sub_pd(pri, pir));
         }
     }
     double sr = hsum(_mm256_add_pd(rr0, rr1));
     double si = hsum(_mm256_add_pd(ri0, ri1));
     for (std::size_t i = n8; i < n; ++i) {
-        if (Conj) {
-            sr = sr + (xre[i] * yre[i] + xim[i] * yim[i]);
-            si = si + (xre[i] * yim[i] - xim[i] * yre[i]);
-        } else {
-            sr = sr + (xre[i] * yre[i] - xim[i] * yim[i]);
-            si = si + (xre[i] * yim[i] + xim[i] * yre[i]);
-        }
+        sr = sr + (xre[i] * yre[i] + xim[i] * yim[i]);
+        si = si + (xre[i] * yim[i] - xim[i] * yre[i]);
     }
     return Complex{sr, si};
 }
 
-#endif
-
 } // namespace
 
-Complex
-dotcScalar(const double* xre, const double* xim, const double* yre,
-           const double* yim, std::size_t n)
-{
-    return dotPlanarScalar<true>(xre, xim, yre, yim, n);
-}
-
-Complex
-dotuScalar(const double* xre, const double* xim, const double* yre,
-           const double* yim, std::size_t n)
-{
-    return dotPlanarScalar<false>(xre, xim, yre, yim, n);
-}
+#endif
 
 Complex
 dotc(const double* xre, const double* xim, const double* yre,
@@ -655,20 +443,9 @@ dotc(const double* xre, const double* xim, const double* yre,
 {
 #if QPC_KERNELS_X86
     if (useAvx2())
-        return dotPlanarAvx2<true>(xre, xim, yre, yim, n);
+        return dotcAvx2(xre, xim, yre, yim, n);
 #endif
-    return dotPlanarScalar<true>(xre, xim, yre, yim, n);
-}
-
-Complex
-dotu(const double* xre, const double* xim, const double* yre,
-     const double* yim, std::size_t n)
-{
-#if QPC_KERNELS_X86
-    if (useAvx2())
-        return dotPlanarAvx2<false>(xre, xim, yre, yim, n);
-#endif
-    return dotPlanarScalar<false>(xre, xim, yre, yim, n);
+    return dotcScalar(xre, xim, yre, yim, n);
 }
 
 // ---------------------------------------------------------------------------

@@ -104,28 +104,10 @@ class SoaMatrix
 void gemm(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b);
 void gemmScalar(SoaMatrix& c, const SoaMatrix& a, const SoaMatrix& b);
 
-/** y = a * x (planar vectors of a.cols() / a.rows() elements). */
-void gemv(double* yre, double* yim, const SoaMatrix& a,
-          const double* xre, const double* xim);
-void gemvScalar(double* yre, double* yim, const SoaMatrix& a,
-                const double* xre, const double* xim);
-
-/** y += alpha * x over n planar elements. */
-void axpy(Complex alpha, const double* xre, const double* xim,
-          double* yre, double* yim, std::size_t n);
-void axpyScalar(Complex alpha, const double* xre, const double* xim,
-                double* yre, double* yim, std::size_t n);
-
 /** sum_i conj(x_i) * y_i over n planar elements. */
 Complex dotc(const double* xre, const double* xim, const double* yre,
              const double* yim, std::size_t n);
 Complex dotcScalar(const double* xre, const double* xim,
-                   const double* yre, const double* yim, std::size_t n);
-
-/** sum_i x_i * y_i (no conjugation) over n planar elements. */
-Complex dotu(const double* xre, const double* xim, const double* yre,
-             const double* yim, std::size_t n);
-Complex dotuScalar(const double* xre, const double* xim,
                    const double* yre, const double* yim, std::size_t n);
 
 /** Scale column j of m by factors[j] (m.cols() factors). */

@@ -2,11 +2,11 @@
  * @file
  * Deterministic batch evaluation of objective points.
  *
- * The classical optimizers (Nelder-Mead's simplex vertices and
- * speculative reflection/expansion pair, Adam's finite-difference
- * probes) produce batches of independent objective evaluations. This
- * helper runs such a batch through an optional ThreadPool with each
- * result written to its caller-assigned slot, so the output — and
+ * The classical optimizers (Nelder-Mead's initial and shrunk simplex
+ * vertices, Adam's finite-difference probes) produce batches of
+ * independent objective evaluations. This helper runs such a batch
+ * through an optional ThreadPool with each result written to its
+ * caller-assigned slot, so the output — and
  * therefore the optimizer trajectory — is bit-identical whether the
  * batch ran serially or on any number of workers.
  *

@@ -112,36 +112,14 @@ nelderMead(const std::function<double(const std::vector<double>&)>&
             options.onIteration(info);
         };
 
-        // Reflection — and, with a pool, the expansion speculated
-        // alongside it: the expansion point depends only on the
-        // current simplex, not on f_reflected, so both evaluate
-        // concurrently and the serial acceptance logic below decides
-        // which (if either) is consumed.
         std::vector<double> reflected = blend(-options.reflection);
-        std::vector<double> expanded;
-        double f_reflected, f_expanded = 0.0;
-        bool have_expanded = false;
-        if (options.evalPool) {
-            expanded = blend(-options.reflection * options.expansion);
-            const std::vector<const std::vector<double>*> points = {
-                &reflected, &expanded};
-            double pair[2];
-            evaluateBatch(objective, points, pair, options.evalPool);
-            f_reflected = pair[0];
-            f_expanded = pair[1];
-            have_expanded = true;
-        } else {
-            f_reflected = objective(reflected);
-        }
+        const double f_reflected = objective(reflected);
         ++result.evaluations;
 
         if (f_reflected < values[best]) {
-            // Expansion (already in hand when speculated).
-            if (!have_expanded) {
-                expanded =
-                    blend(-options.reflection * options.expansion);
-                f_expanded = objective(expanded);
-            }
+            std::vector<double> expanded =
+                blend(-options.reflection * options.expansion);
+            const double f_expanded = objective(expanded);
             ++result.evaluations;
             if (f_expanded < f_reflected) {
                 simplex[worst] = std::move(expanded);
@@ -155,11 +133,6 @@ nelderMead(const std::function<double(const std::vector<double>&)>&
                                 : 0.0);
             continue;
         }
-        // A speculated expansion the serial order would not have
-        // evaluated: counted separately so `evaluations` stays equal
-        // to the serial run's.
-        if (have_expanded)
-            ++result.speculativeEvaluations;
         if (f_reflected < values[second_worst]) {
             simplex[worst] = std::move(reflected);
             values[worst] = f_reflected;

@@ -61,13 +61,14 @@ struct NelderMeadOptions
     std::function<void(const NelderMeadIterationInfo&)> onIteration;
     /**
      * Optional worker pool for batched objective evaluation: the
-     * initial simplex and shrink vertices evaluate concurrently, and
-     * each iteration speculates the expansion point alongside the
-     * reflection. Results are reduced in slot order, so the optimizer
-     * trajectory — every vertex, value, iteration count, and
-     * onIteration report — is bit-identical to the serial run at any
-     * worker count. The objective must be thread-safe. Null keeps
-     * evaluation on the calling thread.
+     * initial simplex and shrink vertices evaluate concurrently;
+     * reflections, expansions and contractions stay on the calling
+     * thread. The pool evaluates exactly the points the serial run
+     * does and results are reduced in slot order, so the optimizer
+     * trajectory — every vertex, value, evaluation and iteration
+     * count, and onIteration report — is bit-identical to the serial
+     * run at any worker count. The objective must be thread-safe.
+     * Null keeps evaluation on the calling thread.
      */
     ThreadPool* evalPool = nullptr;
 };
@@ -78,13 +79,7 @@ struct NelderMeadResult
     std::vector<double> best;     ///< Minimizing point found.
     double bestValue = 0.0;       ///< Objective at best.
     int iterations = 0;           ///< Simplex updates performed.
-    /** Objective calls a *serial* run would have made — the pooled
-     * run's accounting matches the serial run exactly. */
-    int evaluations = 0;
-    /** Speculative objective calls (expansion points evaluated
-     * alongside their reflection but then not needed). Always zero
-     * without an evalPool. */
-    int speculativeEvaluations = 0;
+    int evaluations = 0;          ///< Objective calls made.
     bool converged = false;       ///< Stopped on fTolerance.
 };
 

@@ -1,14 +1,7 @@
 #include "qaoa/qaoadriver.h"
 
-#include <algorithm>
-#include <memory>
-#include <mutex>
-
 #include "common/logging.h"
-#include "runtime/refinetrigger.h"
-#include "runtime/service.h"
-#include "runtime/threadpool.h"
-#include "sim/statevector.h"
+#include "common/rng.h"
 
 namespace qpc {
 
@@ -16,118 +9,17 @@ QaoaResult
 runQaoa(const Graph& graph, const QaoaRunOptions& options)
 {
     const Circuit circuit = buildQaoaCircuit(graph, options.p);
-    const PauliHamiltonian cost = maxcutCostHamiltonian(graph);
+    Rng rng(options.seed);
+    const std::vector<double> start = rng.angles(2 * options.p);
 
     QaoaResult result;
     result.maxCut = bruteForceMaxCut(graph);
-
-    // A shared service takes precedence; serviceOptions otherwise
-    // spins up a run-owned one (see runVqe).
-    std::unique_ptr<CompileService> owned;
-    CompileService* service = options.compileService;
-    if (!service && options.serviceOptions) {
-        owned = std::make_unique<CompileService>(*options.serviceOptions);
-        service = owned.get();
-    }
-
-    // Strict-partial service path: one-off block pre-compute and
-    // serving plan, then per-iteration lookup-and-concatenate (see
-    // runVqe).
-    ServingPlan plan;
-    if (service) {
-        plan = options.quantization
-                   ? service->prepareServing(strictPartition(circuit),
-                                             *options.quantization)
-                   : service->prepareServing(strictPartition(circuit));
-        const BatchCompileReport precompute =
-            service->precompilePlan(plan);
-        result.precomputeWallSeconds = precompute.wallSeconds;
-        result.precompiledBlocks = precompute.uniqueBlocks;
-        if (options.prewarmQuantizedBins) {
-            const BatchCompileReport prewarm =
-                service->prewarmQuantizedBins(plan);
-            result.precomputeWallSeconds += prewarm.wallSeconds;
-        }
-    }
-    const bool quantized = service && plan.quantization().enabled;
-
-    // Shared-stat mutex for concurrent objective evaluation under
-    // optimizerThreads (see runVqe).
-    std::mutex stats_mu;
-    int evaluations = 0;
-    auto objective = [&](const std::vector<double>& theta) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++evaluations;
-        }
-        if (service) {
-            const ServedPulse served = service->serve(plan, theta);
-            std::lock_guard<std::mutex> lock(stats_mu);
-            result.servedCacheHits += served.cacheHits;
-            result.servedCacheMisses += served.cacheMisses;
-            result.quantHits += served.quantHits;
-            result.quantMisses += served.quantMisses;
-            result.quantFallbacks += served.quantFallbacks;
-            result.maxQuantErrorBound = std::max(
-                result.maxQuantErrorBound, served.quantErrorBound);
-        }
-        StateVector state(graph.numNodes);
-        // The served pulses realize snapped angles under quantization
-        // (current adaptive leaf representatives when the plan
-        // refines); simulate exactly what they execute (see runVqe).
-        state.applyCircuit(
-            quantized
-                ? service->snapServedRotations(plan, circuit, theta)
-                : circuit.bind(theta));
-        return cost.expectation(state);
-    };
-
-    // Optimizer-movement-gated grid refinement, as in runVqe: small
-    // steps mean the optimizer is converging, so split the bins it
-    // has been visiting and serve finer representatives from here on.
-    NelderMeadOptions optimizer = options.optimizer;
-    RefinementTriggerStats refinement;
-    if (quantized && plan.quantization().adaptive)
-        optimizer = withRefinementTrigger(std::move(optimizer),
-                                          *service, plan, refinement);
-
-    // Run-owned evaluation pool (bit-identical results at any worker
-    // count; see runVqe).
-    std::unique_ptr<ThreadPool> eval_pool;
-    if (options.optimizerThreads > 0) {
-        eval_pool =
-            std::make_unique<ThreadPool>(options.optimizerThreads);
-        optimizer.evalPool = eval_pool.get();
-    }
-
-    Rng rng(options.seed);
-    const std::vector<double> start = rng.angles(2 * options.p);
-    const NelderMeadResult opt =
-        nelderMead(objective, start, optimizer);
-
-    result.quantRefineRounds = refinement.rounds;
-    result.quantSplits = refinement.splits;
-    result.quantRefineSynths = refinement.prewarmSynths;
-    result.quantBytesReleased = refinement.bytesReleased;
-    double best_cost = opt.bestValue;
-    if (quantized) {
-        // Bound and cost of the answer on the *final* grid topology
-        // (refinement may have split bestParams' leaves after their
-        // last evaluation — see runVqe).
-        result.finalQuantErrorBound =
-            service->serve(plan, opt.best).quantErrorBound;
-        StateVector final_state(graph.numNodes);
-        final_state.applyCircuit(
-            service->snapServedRotations(plan, circuit, opt.best));
-        best_cost = cost.expectation(final_state);
-    }
-    result.bestParams = opt.best;
-    result.bestCost = best_cost;
-    result.expectedCutValue = expectedCut(best_cost);
+    result.bestCost = runHybridLoop(
+        circuit, maxcutCostHamiltonian(graph), start, options, result);
+    result.expectedCutValue = expectedCut(result.bestCost);
     result.approxRatio =
         result.maxCut > 0 ? result.expectedCutValue / result.maxCut
                           : 0.0;
-    result.iterations = evaluations;
     return result;
 }
 

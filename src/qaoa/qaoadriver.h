@@ -2,98 +2,41 @@
  * @file
  * End-to-end QAOA driver.
  *
- * The full hybrid loop of Figure 1 with the state-vector simulator
- * standing in for quantum hardware: bind parameters, prepare the QAOA
- * state, measure the MAXCUT cost expectation, and let Nelder-Mead
- * propose the next parameters. Also tallies the compilation latency
- * each strategy would have paid across the loop, which quantifies the
- * paper's aggregate-impact argument (Section 8.4).
+ * The full hybrid loop of Figure 1 (runtime/hybridloop.h) with the
+ * state-vector simulator standing in for quantum hardware: bind
+ * parameters, prepare the QAOA state, measure the MAXCUT cost
+ * expectation, and let Nelder-Mead propose the next parameters. Also
+ * tallies the compilation latency each strategy would have paid across
+ * the loop, which quantifies the paper's aggregate-impact argument
+ * (Section 8.4).
  */
 
 #ifndef QPC_QAOA_QAOADRIVER_H
 #define QPC_QAOA_QAOADRIVER_H
 
-#include <optional>
-
-#include "cache/quantize.h"
-#include "opt/neldermead.h"
 #include "partial/compiler.h"
 #include "qaoa/graph.h"
 #include "qaoa/maxcut.h"
 #include "qaoa/qaoacircuit.h"
-#include "runtime/service.h"
+#include "runtime/hybridloop.h"
 
 namespace qpc {
 
-/** Configuration of one QAOA optimization run. */
-struct QaoaRunOptions
+/** Configuration of one QAOA optimization run (the shared loop
+ * knobs, including the seed, live in HybridLoopOptions). */
+struct QaoaRunOptions : HybridLoopOptions
 {
     int p = 1;                        ///< QAOA depth.
-    NelderMeadOptions optimizer;      ///< Classical-loop settings.
-    /**
-     * Workers for batched Nelder-Mead evaluation; 0 = serial. Results
-     * are bit-identical at any positive worker count (see
-     * VqeRunOptions::optimizerThreads for the serial caveat).
-     */
-    int optimizerThreads = 0;
-    uint64_t seed = 0;                ///< Initial-parameter seed.
-    /**
-     * Optional compilation service: pre-compiles the QAOA template's
-     * Fixed blocks once and serves every iteration from the cache
-     * (see VqeRunOptions::compileService).
-     */
-    CompileService* compileService = nullptr;
-    /**
-     * Run-owned service configuration (used when compileService is
-     * null; see VqeRunOptions::serviceOptions).
-     */
-    std::optional<CompileServiceOptions> serviceOptions;
-    /**
-     * Per-run override of the service's angle quantization; the
-     * simulated hardware executes the snapped angles when in effect
-     * (see VqeRunOptions::quantization).
-     */
-    std::optional<ParamQuantization> quantization;
-    /** Pre-warm the whole rotation grid before the hybrid loop. */
-    bool prewarmQuantizedBins = false;
 };
 
-/** Outcome of one QAOA optimization run. */
-struct QaoaResult
+/** Outcome of one QAOA optimization run (bestParams, iterations and
+ * the serving accounting live in HybridLoopResult). */
+struct QaoaResult : HybridLoopResult
 {
-    std::vector<double> bestParams;
     double bestCost = 0.0;            ///< min <H_C> found.
     double expectedCutValue = 0.0;    ///< -bestCost.
     int maxCut = 0;                   ///< Brute-force optimum.
     double approxRatio = 0.0;         ///< expectedCut / maxCut.
-    int iterations = 0;               ///< Objective evaluations.
-
-    /** @name Compile-service accounting (zero without a service)
-     *  @{ */
-    double precomputeWallSeconds = 0.0; ///< One-off block synthesis.
-    int precompiledBlocks = 0;      ///< Unique Fixed blocks compiled.
-    uint64_t servedCacheHits = 0;   ///< Warm lookups across the loop.
-    uint64_t servedCacheMisses = 0; ///< Cold blocks hit at runtime.
-    /** @} */
-
-    /** @name Quantized-serving accounting (zero when disabled)
-     *  @{ */
-    uint64_t quantHits = 0;       ///< Rotation bins served warm.
-    uint64_t quantMisses = 0;     ///< First touches of a bin.
-    uint64_t quantFallbacks = 0;  ///< Budget-exceeded exact serves.
-    /** Largest per-iteration summed snap error bound observed. */
-    double maxQuantErrorBound = 0.0;
-    /** @} */
-
-    /** @name Adaptive-grid refinement (zero unless
-     *  quantization.adaptive; see VqeResult for field semantics)
-     *  @{ */
-    int quantRefineRounds = 0;
-    uint64_t quantSplits = 0;
-    uint64_t quantRefineSynths = 0;
-    uint64_t quantBytesReleased = 0;
-    double finalQuantErrorBound = 0.0;
-    /** @} */
 };
 
 /** Run the hybrid QAOA loop on a graph. */

@@ -1,16 +1,7 @@
 #include "vqe/vqedriver.h"
 
-#include <algorithm>
-#include <memory>
-#include <mutex>
-
 #include "common/logging.h"
 #include "common/rng.h"
-#include "partial/strict.h"
-#include "runtime/refinetrigger.h"
-#include "runtime/service.h"
-#include "runtime/threadpool.h"
-#include "sim/statevector.h"
 
 namespace qpc {
 
@@ -21,121 +12,14 @@ runVqe(const Circuit& ansatz, const PauliHamiltonian& hamiltonian,
     fatalIf(ansatz.numQubits() != hamiltonian.numQubits(),
             "ansatz width does not match the Hamiltonian");
 
-    VqeResult result;
-
-    // A shared service takes precedence; otherwise serviceOptions
-    // spins up a run-owned one, so single-run callers get the full
-    // resource-bounded serve path without managing a service object.
-    std::unique_ptr<CompileService> owned;
-    CompileService* service = options.compileService;
-    if (!service && options.serviceOptions) {
-        owned = std::make_unique<CompileService>(*options.serviceOptions);
-        service = owned.get();
-    }
-
-    // With a compile service attached, pay the strict-partial
-    // pre-compute once up front (block synthesis and the serving
-    // plan's blocking/fingerprints); the hybrid loop below then
-    // serves each binding from the warm cache.
-    ServingPlan plan;
-    if (service) {
-        plan = options.quantization
-                   ? service->prepareServing(strictPartition(ansatz),
-                                             *options.quantization)
-                   : service->prepareServing(strictPartition(ansatz));
-        const BatchCompileReport precompute =
-            service->precompilePlan(plan);
-        result.precomputeWallSeconds = precompute.wallSeconds;
-        result.precompiledBlocks = precompute.uniqueBlocks;
-        if (options.prewarmQuantizedBins) {
-            const BatchCompileReport prewarm =
-                service->prewarmQuantizedBins(plan);
-            result.precomputeWallSeconds += prewarm.wallSeconds;
-        }
-    }
-    const bool quantized = service && plan.quantization().enabled;
-
-    // With optimizerThreads the objective runs concurrently on pool
-    // workers; the stats it accumulates are the only shared state, so
-    // one mutex keeps them exact without serializing the evaluations.
-    std::mutex stats_mu;
-    int evaluations = 0;
-    auto objective = [&](const std::vector<double>& theta) {
-        {
-            std::lock_guard<std::mutex> lock(stats_mu);
-            ++evaluations;
-        }
-        if (service) {
-            const ServedPulse served = service->serve(plan, theta);
-            std::lock_guard<std::mutex> lock(stats_mu);
-            result.servedCacheHits += served.cacheHits;
-            result.servedCacheMisses += served.cacheMisses;
-            result.quantHits += served.quantHits;
-            result.quantMisses += served.quantMisses;
-            result.quantFallbacks += served.quantFallbacks;
-            result.maxQuantErrorBound = std::max(
-                result.maxQuantErrorBound, served.quantErrorBound);
-        }
-        StateVector state(ansatz.numQubits());
-        // Quantized serving delivers pulses for the *snapped* angles
-        // (the current adaptive leaf representatives when the plan
-        // refines), so that is what the simulated hardware must
-        // execute — the energy honestly carries the grid's
-        // substitution error.
-        state.applyCircuit(
-            quantized
-                ? service->snapServedRotations(plan, ansatz, theta)
-                : ansatz.bind(theta));
-        return hamiltonian.expectation(state);
-    };
-
-    // Convergence-aware refinement: once the optimizer's step norm
-    // falls to the knob's threshold — it has stopped leaping and
-    // started homing in — periodically split the grid bins it has
-    // been visiting, so late iterations serve finer representatives.
-    NelderMeadOptions optimizer = options.optimizer;
-    RefinementTriggerStats refinement;
-    if (quantized && plan.quantization().adaptive)
-        optimizer = withRefinementTrigger(std::move(optimizer),
-                                          *service, plan, refinement);
-
-    // Run-owned evaluation pool: batches simplex evaluations without
-    // changing any result bit (slot-ordered reduction in nelderMead).
-    std::unique_ptr<ThreadPool> eval_pool;
-    if (options.optimizerThreads > 0) {
-        eval_pool =
-            std::make_unique<ThreadPool>(options.optimizerThreads);
-        optimizer.evalPool = eval_pool.get();
-    }
-
     Rng rng(options.seed);
     std::vector<double> start(ansatz.numParams());
     for (double& v : start)
         v = options.initialSpread * rng.normal();
 
-    const NelderMeadResult opt =
-        nelderMead(objective, start, optimizer);
-
-    result.bestParams = opt.best;
-    result.energy = opt.bestValue;
-    result.iterations = evaluations;
-    result.quantRefineRounds = refinement.rounds;
-    result.quantSplits = refinement.splits;
-    result.quantRefineSynths = refinement.prewarmSynths;
-    result.quantBytesReleased = refinement.bytesReleased;
-    // The realized accuracy of the answer: what serving the best
-    // parameters costs in snap error on the final grid. Refinement
-    // may have split bestParams' leaves after their last evaluation,
-    // so re-simulate on the final topology too — the reported energy
-    // and error bound must describe the *same* served pulses.
-    if (quantized) {
-        result.finalQuantErrorBound =
-            service->serve(plan, opt.best).quantErrorBound;
-        StateVector final_state(ansatz.numQubits());
-        final_state.applyCircuit(
-            service->snapServedRotations(plan, ansatz, opt.best));
-        result.energy = hamiltonian.expectation(final_state);
-    }
+    VqeResult result;
+    result.energy =
+        runHybridLoop(ansatz, hamiltonian, start, options, result);
     if (ansatz.numQubits() <= 10)
         result.exactGroundEnergy = hamiltonian.groundStateEnergy();
     return result;

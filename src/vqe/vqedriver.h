@@ -2,121 +2,34 @@
  * @file
  * End-to-end VQE driver (guess-check-repeat of Section 4.1).
  *
- * Runs the hybrid loop with the state-vector simulator as hardware:
- * bind the UCCSD parameters, prepare the ansatz state, measure the
- * molecular Hamiltonian's energy, and let Nelder-Mead propose the
- * next amplitudes.
+ * Runs the hybrid loop (runtime/hybridloop.h) with the state-vector
+ * simulator as hardware: bind the UCCSD parameters, prepare the
+ * ansatz state, measure the molecular Hamiltonian's energy, and let
+ * Nelder-Mead propose the next amplitudes.
  */
 
 #ifndef QPC_VQE_VQEDRIVER_H
 #define QPC_VQE_VQEDRIVER_H
 
-#include <optional>
-
-#include "cache/quantize.h"
 #include "ir/circuit.h"
-#include "opt/neldermead.h"
-#include "runtime/service.h"
+#include "runtime/hybridloop.h"
 #include "sim/pauli.h"
 
 namespace qpc {
 
-/** Configuration of one VQE run. */
-struct VqeRunOptions
+/** Configuration of one VQE run (the shared loop knobs, including
+ * the seed, live in HybridLoopOptions). */
+struct VqeRunOptions : HybridLoopOptions
 {
-    NelderMeadOptions optimizer;
-    /**
-     * Workers for batched objective evaluation inside Nelder-Mead
-     * (initial simplex, speculative reflection/expansion, shrinks).
-     * 0 evaluates serially on the calling thread. Every positive
-     * count produces bit-identical results to every other — the batch
-     * layer reduces in slot order — so among pooled runs this is
-     * purely a wall-clock knob. Serial additionally skips the
-     * speculative expansion evaluation, which a side-effecting
-     * objective (e.g. adaptive-quantization visit counters) can
-     * observe; with a pure objective serial matches too.
-     * Overrides optimizer.evalPool with a run-owned pool.
-     */
-    int optimizerThreads = 0;
-    uint64_t seed = 0;          ///< Initial-amplitude seed.
     double initialSpread = 0.1; ///< Scale of the random start point.
-    /**
-     * Optional compilation service. When set, the driver pre-compiles
-     * the ansatz's Fixed blocks through the service before the hybrid
-     * loop starts, then serves every iteration's pulse program by
-     * lookup-and-concatenate — the paper's strict-partial serving
-     * path. Null keeps the simulator-only behaviour.
-     */
-    CompileService* compileService = nullptr;
-    /**
-     * Alternative to compileService for single-run callers: when set
-     * (and compileService is null), the driver constructs a private
-     * CompileService with these options for the run — the full knob
-     * surface (worker count, cache capacity/capacityBytes, disk tier
-     * + maxDiskBytes GC, maxQueuedJobs backpressure, quantization)
-     * without managing a service object.
-     */
-    std::optional<CompileServiceOptions> serviceOptions;
-    /**
-     * Per-run override of the service's angle quantization (see
-     * ParamQuantization): unset inherits the service default, set
-     * forces it on or off for this run. When quantization is in
-     * effect, the simulated "hardware" executes the *snapped* angles
-     * — the circuit the cached pulses actually realize — so the
-     * reported energy reflects the quantization error honestly. No
-     * effect without a compileService.
-     */
-    std::optional<ParamQuantization> quantization;
-    /**
-     * Pre-warm the whole rotation grid through the service's worker
-     * pool before the hybrid loop, so even the first iterations serve
-     * warm (only meaningful with quantization enabled).
-     */
-    bool prewarmQuantizedBins = false;
 };
 
-/** Outcome of one VQE run. */
-struct VqeResult
+/** Outcome of one VQE run (bestParams, iterations and the serving
+ * accounting live in HybridLoopResult). */
+struct VqeResult : HybridLoopResult
 {
-    std::vector<double> bestParams;
     double energy = 0.0;         ///< Lowest energy found.
     double exactGroundEnergy = 0.0;  ///< From diagonalization.
-    int iterations = 0;          ///< Objective evaluations.
-
-    /** @name Compile-service accounting (zero without a service)
-     *  @{ */
-    double precomputeWallSeconds = 0.0; ///< One-off block synthesis.
-    int precompiledBlocks = 0;      ///< Unique Fixed blocks compiled.
-    uint64_t servedCacheHits = 0;   ///< Warm lookups across the loop.
-    uint64_t servedCacheMisses = 0; ///< Cold blocks hit at runtime.
-    /** @} */
-
-    /** @name Quantized-serving accounting (zero when disabled)
-     *  @{ */
-    uint64_t quantHits = 0;       ///< Rotation bins served warm.
-    uint64_t quantMisses = 0;     ///< First touches of a bin.
-    uint64_t quantFallbacks = 0;  ///< Budget-exceeded exact serves.
-    /** Largest per-iteration summed snap error bound observed. */
-    double maxQuantErrorBound = 0.0;
-    /** @} */
-
-    /** @name Adaptive-grid refinement (zero unless
-     *  quantization.adaptive; see CompileService::refineQuantizedGrid)
-     *  @{ */
-    int quantRefineRounds = 0;    ///< Refinement rounds triggered by
-                                  ///< optimizer-movement signals.
-    uint64_t quantSplits = 0;     ///< Leaves split across the run.
-    uint64_t quantRefineSynths = 0; ///< Child-bin pulses the rounds
-                                    ///< pre-warmed.
-    uint64_t quantBytesReleased = 0; ///< Stale coarse bytes returned
-                                     ///< to the cache byte budget.
-    /**
-     * Realized summed snap-error bound of serving bestParams on the
-     * final grid — the answer's accuracy, which adaptive refinement
-     * drives below the fixed grid's. Zero when quantization is off.
-     */
-    double finalQuantErrorBound = 0.0;
-    /** @} */
 };
 
 /**

@@ -123,66 +123,6 @@ TEST(Kernels, GemmDispatchBitIdenticalToScalarMirror)
     }
 }
 
-TEST(Kernels, GemvMatchesApplyAndScalarMirror)
-{
-    Rng rng(23);
-    for (int m : kEdgeSizes) {
-        const CMatrix a = randomMatrix(4, m, rng);
-        const std::vector<Complex> x = randomVector(m, rng);
-
-        kernels::SoaMatrix sa;
-        sa.pack(a);
-        std::vector<double> xre(m), xim(m);
-        for (int i = 0; i < m; ++i) {
-            xre[i] = x[i].real();
-            xim[i] = x[i].imag();
-        }
-        std::vector<double> yre(4), yim(4), sre(4), sim(4);
-        kernels::gemv(yre.data(), yim.data(), sa, xre.data(),
-                      xim.data());
-        kernels::gemvScalar(sre.data(), sim.data(), sa, xre.data(),
-                            xim.data());
-
-        const std::vector<Complex> want = a.apply(x);
-        for (int i = 0; i < 4; ++i) {
-            EXPECT_LE(std::abs(Complex{yre[i], yim[i]} - want[i]),
-                      1e-12);
-            EXPECT_EQ(yre[i], sre[i]);
-            EXPECT_EQ(yim[i], sim[i]);
-        }
-    }
-}
-
-TEST(Kernels, AxpyMatchesComplexReferenceAndScalarMirror)
-{
-    Rng rng(24);
-    for (int n : kEdgeSizes) {
-        const Complex alpha{rng.normal(), rng.normal()};
-        const std::vector<Complex> x = randomVector(n, rng);
-        const std::vector<Complex> y = randomVector(n, rng);
-
-        std::vector<double> xre(n), xim(n), y1re(n), y1im(n), y2re(n),
-            y2im(n);
-        for (int i = 0; i < n; ++i) {
-            xre[i] = x[i].real();
-            xim[i] = x[i].imag();
-            y1re[i] = y2re[i] = y[i].real();
-            y1im[i] = y2im[i] = y[i].imag();
-        }
-        kernels::axpy(alpha, xre.data(), xim.data(), y1re.data(),
-                      y1im.data(), n);
-        kernels::axpyScalar(alpha, xre.data(), xim.data(), y2re.data(),
-                            y2im.data(), n);
-        for (int i = 0; i < n; ++i) {
-            const Complex want = y[i] + alpha * x[i];
-            EXPECT_LE(std::abs(Complex{y1re[i], y1im[i]} - want),
-                      1e-12);
-            EXPECT_EQ(y1re[i], y2re[i]);
-            EXPECT_EQ(y1im[i], y2im[i]);
-        }
-    }
-}
-
 TEST(Kernels, PlanarDotsMatchComplexReferenceAndScalarMirror)
 {
     Rng rng(25);
@@ -196,20 +136,13 @@ TEST(Kernels, PlanarDotsMatchComplexReferenceAndScalarMirror)
             yre[i] = y[i].real();
             yim[i] = y[i].imag();
         }
-        Complex want_c{0.0, 0.0}, want_u{0.0, 0.0};
-        for (int i = 0; i < n; ++i) {
+        Complex want_c{0.0, 0.0};
+        for (int i = 0; i < n; ++i)
             want_c += std::conj(x[i]) * y[i];
-            want_u += x[i] * y[i];
-        }
         const Complex dc = kernels::dotc(xre.data(), xim.data(),
                                          yre.data(), yim.data(), n);
-        const Complex du = kernels::dotu(xre.data(), xim.data(),
-                                         yre.data(), yim.data(), n);
         EXPECT_LE(std::abs(dc - want_c), 1e-12 * (1.0 + n));
-        EXPECT_LE(std::abs(du - want_u), 1e-12 * (1.0 + n));
         EXPECT_EQ(dc, kernels::dotcScalar(xre.data(), xim.data(),
-                                          yre.data(), yim.data(), n));
-        EXPECT_EQ(du, kernels::dotuScalar(xre.data(), xim.data(),
                                           yre.data(), yim.data(), n));
     }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <tuple>
 #include <vector>
@@ -170,17 +171,20 @@ ripplyBowl(const std::vector<double>& x)
 }
 
 /** Everything observable about one Nelder-Mead run, including the
- * full onIteration stream the refinement triggers key off. */
+ * full onIteration stream the refinement triggers key off and the
+ * objective calls that actually happened. */
 struct NmTrace
 {
     NelderMeadResult result;
     std::vector<std::tuple<int, double, double, double>> stream;
+    int objectiveCalls = 0;
 };
 
 NmTrace
 runNmTrace(ThreadPool* pool)
 {
     NmTrace trace;
+    std::atomic<int> calls{0};
     NelderMeadOptions options;
     options.maxIterations = 400;
     options.evalPool = pool;
@@ -188,22 +192,31 @@ runNmTrace(ThreadPool* pool)
         trace.stream.emplace_back(info.iteration, info.bestValue,
                                   info.stepNorm, info.simplexDiameter);
     };
-    trace.result =
-        nelderMead(ripplyBowl, {2.0, -1.5, 3.0, 0.5}, options);
+    trace.result = nelderMead(
+        [&](const std::vector<double>& x) {
+            calls.fetch_add(1, std::memory_order_relaxed);
+            return ripplyBowl(x);
+        },
+        {2.0, -1.5, 3.0, 0.5}, options);
+    trace.objectiveCalls = calls.load();
     return trace;
 }
 
 TEST(NelderMead, ParallelEvaluationBitIdenticalAcrossWorkerCounts)
 {
     const NmTrace serial = runNmTrace(nullptr);
-    EXPECT_EQ(serial.result.speculativeEvaluations, 0);
+    // No evaluation goes unreported: a side-effecting objective (an
+    // adaptive grid's visit counters) sees exactly `evaluations` calls.
+    EXPECT_EQ(serial.objectiveCalls, serial.result.evaluations);
 
     for (int workers : {1, 2, 8}) {
         ThreadPool pool(workers);
         const NmTrace pooled = runNmTrace(&pool);
+        EXPECT_EQ(pooled.objectiveCalls, pooled.result.evaluations)
+            << workers << " workers";
 
         // Identical trajectory, bit for bit: best point, value,
-        // iteration and (serial-semantics) evaluation counts.
+        // iteration and evaluation counts.
         ASSERT_EQ(pooled.result.best.size(),
                   serial.result.best.size());
         for (size_t i = 0; i < serial.result.best.size(); ++i)
@@ -215,8 +228,8 @@ TEST(NelderMead, ParallelEvaluationBitIdenticalAcrossWorkerCounts)
                   serial.result.evaluations);
         EXPECT_EQ(pooled.result.converged, serial.result.converged);
 
-        // The onIteration stream — what refinetrigger's step-norm
-        // gate and cooldown see — is identical too, so adaptive-grid
+        // The onIteration stream — what the hybrid loop's refinement
+        // trigger gates on — is identical too, so adaptive-grid
         // refinement fires at the same iterations at any worker
         // count.
         ASSERT_EQ(pooled.stream.size(), serial.stream.size())
@@ -225,24 +238,6 @@ TEST(NelderMead, ParallelEvaluationBitIdenticalAcrossWorkerCounts)
             EXPECT_EQ(pooled.stream[i], serial.stream[i])
                 << workers << " workers, report " << i;
     }
-}
-
-TEST(NelderMead, SpeculationIsAccountedSeparately)
-{
-    ThreadPool pool(2);
-    NelderMeadOptions options;
-    options.maxIterations = 200;
-    options.evalPool = &pool;
-    const NelderMeadResult pooled =
-        nelderMead(ripplyBowl, {2.0, -1.5}, options);
-    const NelderMeadResult serial =
-        nelderMead(ripplyBowl, {2.0, -1.5});
-
-    // `evaluations` reports what a serial run would have paid;
-    // discarded speculative expansions are tallied separately.
-    EXPECT_EQ(pooled.evaluations, serial.evaluations);
-    EXPECT_GT(pooled.speculativeEvaluations, 0);
-    EXPECT_EQ(serial.speculativeEvaluations, 0);
 }
 
 TEST(AdamFd, ConvergesOnQuadratic)

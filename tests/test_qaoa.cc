@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
+#include <vector>
 
 #include "linalg/expm.h"
 #include "linalg/su2.h"
@@ -133,6 +135,60 @@ TEST(QaoaDriver, DeeperPImproves)
     const QaoaResult r1 = runQaoa(g, shallow);
     const QaoaResult r3 = runQaoa(g, deep);
     EXPECT_GE(r3.approxRatio, r1.approxRatio - 0.02);
+}
+
+// The QAOA half of VqeDriver.AdaptiveRefinementIdenticalAcrossOptimizerThreads:
+// both drivers run one hybrid loop, so a pooled QAOA run must make the
+// serial run's objective calls (each a real serve feeding the adaptive
+// grid's visit counters) and refine and answer bit-identically.
+TEST(QaoaDriver, AdaptiveRefinementIdenticalAcrossOptimizerThreads)
+{
+    Rng rng(17);
+    const Graph graph = random3Regular(6, rng);
+
+    struct Run
+    {
+        QaoaResult result;
+        std::vector<std::pair<int, double>> stream; ///< (iter, step).
+    };
+    auto run = [&](int optimizer_threads) {
+        Run out;
+        CompileServiceOptions service;
+        service.numWorkers = 2;
+        service.quantization.enabled = true;
+        service.quantization.adaptive = true;
+        service.quantization.bins = 32;
+        service.quantization.splitVisitThreshold = 4;
+
+        QaoaRunOptions options;
+        options.p = 2;
+        options.optimizer.maxIterations = 150;
+        options.optimizer.onIteration =
+            [&](const NelderMeadIterationInfo& info) {
+                out.stream.emplace_back(info.iteration, info.stepNorm);
+            };
+        options.optimizerThreads = optimizer_threads;
+        options.serviceOptions = service;
+        out.result = runQaoa(graph, options);
+        return out;
+    };
+
+    const Run serial = run(0);
+    ASSERT_GT(serial.result.quantRefineRounds, 0);
+
+    for (int workers : {1, 2, 8}) {
+        const Run pooled = run(workers);
+        EXPECT_EQ(pooled.result.quantRefineRounds,
+                  serial.result.quantRefineRounds)
+            << workers << " workers";
+        EXPECT_EQ(pooled.result.quantSplits, serial.result.quantSplits);
+        EXPECT_EQ(pooled.stream, serial.stream) << workers << " workers";
+        EXPECT_EQ(pooled.result.bestCost, serial.result.bestCost);
+        EXPECT_EQ(pooled.result.bestParams, serial.result.bestParams);
+        EXPECT_EQ(pooled.result.iterations, serial.result.iterations);
+        EXPECT_EQ(pooled.result.finalQuantErrorBound,
+                  serial.result.finalQuantErrorBound);
+    }
 }
 
 TEST(QaoaDriver, AggregateLatencyScalesWithIterations)
